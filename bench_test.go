@@ -6,7 +6,7 @@ package duel_test
 //	BenchmarkT3Scan*         — x[..N] >? 0, the paper's 5-second example
 //	BenchmarkT4Lookup*       — (1..100)+i, the symbol-lookup claim
 //	BenchmarkT5Symbolic*     — symbolic-value computation on/off
-//	BenchmarkT7Backend*      — push vs machine vs chan evaluators
+//	BenchmarkT7Backend*      — push vs machine evaluators
 //	BenchmarkT8Cycle*        — cycle-detection ablation on -->
 //	BenchmarkParse           — expression compilation cost
 //	BenchmarkMicroC          — the debuggee interpreter substrate
@@ -94,9 +94,7 @@ func BenchmarkT1Catalog(b *testing.B) {
 			}
 		})
 		// reeval: long-lived sessions re-evaluating the same queries — the
-		// watchpoint/REPL-history load. The compiled backend's source→AST
-		// and program caches are warm here; interpreting backends re-parse
-		// and re-walk every time.
+		// watchpoint/REPL-history load: every pass re-parses and re-walks.
 		b.Run(backend+"/reeval", func(b *testing.B) {
 			entries := soakEntries()
 			targets := map[string]*debugger.Debugger{}
@@ -166,18 +164,15 @@ func benchSessionOpts(b *testing.B, n int, opts duel.Options) *duel.Session {
 // --- T3: the paper's timing example, x[..N] >? 0 ---
 
 func BenchmarkT3Scan(b *testing.B) {
-	for _, backend := range []string{"push", "compiled"} {
-		for _, n := range []int{1000, 10000, 100000} {
-			for _, cache := range []bool{false, true} {
-				b.Run(fmt.Sprintf("%s/N=%d/cache=%v", backend, n, cache), func(b *testing.B) {
-					opts := duel.DefaultOptions()
-					opts.Backend = backend
-					opts.Eval.MemCache = cache
-					ses := benchSessionOpts(b, n, opts)
-					benchQuery(b, ses, fmt.Sprintf("x[..%d] >? 0", n), true)
-					reportMemTraffic(b, ses)
-				})
-			}
+	for _, n := range []int{1000, 10000, 100000} {
+		for _, cache := range []bool{false, true} {
+			b.Run(fmt.Sprintf("push/N=%d/cache=%v", n, cache), func(b *testing.B) {
+				opts := duel.DefaultOptions()
+				opts.Eval.MemCache = cache
+				ses := benchSessionOpts(b, n, opts)
+				benchQuery(b, ses, fmt.Sprintf("x[..%d] >? 0", n), true)
+				reportMemTraffic(b, ses)
+			})
 		}
 	}
 }
@@ -195,24 +190,21 @@ func reportMemTraffic(b *testing.B, ses *duel.Session) {
 // node costs one pointer load plus one value load, scattered by the
 // allocator rather than laid out sequentially.
 func BenchmarkT3ListWalk(b *testing.B) {
-	for _, backend := range []string{"push", "compiled"} {
-		for _, cache := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/cache=%v", backend, cache), func(b *testing.B) {
-				d, err := scenarios.BuildLongList(1000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opts := duel.DefaultOptions()
-				opts.Backend = backend
-				opts.Eval.MemCache = cache
-				ses, err := duel.NewSession(d, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchQuery(b, ses, "head-->next->value", false)
-				reportMemTraffic(b, ses)
-			})
-		}
+	for _, cache := range []bool{false, true} {
+		b.Run(fmt.Sprintf("push/cache=%v", cache), func(b *testing.B) {
+			d, err := scenarios.BuildLongList(1000)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := duel.DefaultOptions()
+			opts.Eval.MemCache = cache
+			ses, err := duel.NewSession(d, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchQuery(b, ses, "head-->next->value", false)
+			reportMemTraffic(b, ses)
+		})
 	}
 }
 

@@ -48,7 +48,7 @@ func run() error {
 		scenario = flag.String("s", "", "load a built-in scenario (and run its main): "+strings.Join(scenarios.All, ", "))
 		expr     = flag.String("e", "", "evaluate one DUEL expression and exit")
 		script   = flag.String("x", "", "execute debugger commands from this file before going interactive")
-		backend  = flag.String("backend", "push", "evaluator backend: push, machine or chan")
+		backend  = flag.String("backend", "push", "evaluator backend: push or machine")
 		dataMB   = flag.Int("data", 16, "target data segment size in MiB")
 	)
 	flag.Parse()

@@ -16,7 +16,7 @@ import (
 )
 
 // waitNoLeak asserts the goroutine count settles back to (roughly) its
-// pre-test level, mirroring the chan backend's leak checks.
+// pre-test level.
 func waitNoLeak(t *testing.T, before int) {
 	t.Helper()
 	runtime.GC()
@@ -37,16 +37,14 @@ func waitNoLeak(t *testing.T, before int) {
 
 // TestSharedSessionConcurrency hammers ONE Session from many goroutines with
 // a mix of evaluations, stat reads and alias clears. The session's internal
-// locking must keep this free of data races (run under -race) and of
-// torn cache state; every evaluation must either succeed or fail with an
-// ordinary typed error.
+// locking must keep this free of data races (run under -race); every
+// evaluation must either succeed or fail with an ordinary typed error.
 func TestSharedSessionConcurrency(t *testing.T) {
 	d, err := scenarios.BuildIntArray(64, func(i int) int64 { return int64(i * i) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := duel.DefaultOptions()
-	opts.Backend = "compiled"
 	opts.Eval.Timeout = 5 * time.Second
 	ses := duel.MustNewSession(d, opts)
 
@@ -72,7 +70,6 @@ func TestSharedSessionConcurrency(t *testing.T) {
 				case 6:
 					// Stat readers interleave with evaluations.
 					_ = ses.Counters()
-					_, _, _, _, _ = ses.EvalCacheStats()
 					_ = ses.LastEvalTime()
 				case 7:
 					ses.ClearAliases()

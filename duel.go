@@ -22,7 +22,6 @@
 package duel
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"duel/internal/core"
-	"duel/internal/core/compiled"
 	"duel/internal/dbgif"
 	"duel/internal/duel/ast"
 	"duel/internal/duel/display"
@@ -44,10 +42,10 @@ import (
 
 // Options configure a Session.
 type Options struct {
-	// Backend selects the evaluator implementation: "push" (default),
-	// "machine" (the paper's explicit state machines), "chan" (goroutine
-	// coroutines) or "compiled" (AST-to-closure compiler with cached
-	// programs and scan-aware memory prefetch; see internal/core/compiled).
+	// Backend selects the evaluator implementation: "push" (the default
+	// and production evaluator) or "machine" (the paper's explicit
+	// per-node state machines, kept as the reference the differential
+	// tests compare against). Any other name is rejected by NewSession.
 	Backend string
 	// Eval controls evaluation (symbolic values, cycle detection,
 	// safety limits). Zero value means core.DefaultOptions.
@@ -92,12 +90,12 @@ func (r Result) Line() string {
 // Session is one DUEL session attached to a debugger.
 //
 // A Session is safe for concurrent use: evaluations (and alias mutations)
-// from different goroutines serialize on an internal evaluation lock, and
-// the parse cache and instrumentation are independently synchronized, so
-// stats can be read while a query is in flight. One Session still evaluates
-// one expression at a time — the evaluator's name-resolution stack, step
-// budget and declaration storage are per-evaluation state — so a serving
-// layer that wants parallelism runs a pool of Sessions (see internal/serve).
+// from different goroutines serialize on an internal evaluation lock, while
+// parsing and LastEvalTime take no lock, so they proceed while a query is in
+// flight. One Session still evaluates one expression at a time — the
+// evaluator's name-resolution stack, step budget and declaration storage
+// are per-evaluation state — so a serving layer that wants parallelism runs
+// a pool of Sessions (see internal/serve).
 type Session struct {
 	D       dbgif.Debugger
 	Env     *core.Env
@@ -106,33 +104,10 @@ type Session struct {
 	opts    Options
 
 	// evalMu serializes evaluations and alias-table mutations. It is held
-	// for the whole of one EvalNode, so Counters and EvalCacheStats (which
-	// also take it) observe quiesced state.
-	evalMu sync.Mutex
-	// cacheMu guards the source→AST cache and its generation/counters.
-	// It nests inside evalMu (ClearAliases) and is never held across an
-	// evaluation, only across parses.
-	cacheMu sync.Mutex
-
-	// gen is the session's type-environment generation; bumping it (on
-	// ClearAliases) invalidates every cached source→AST entry, and with
-	// them the compiled programs keyed off those nodes.
-	gen        uint64
-	srcEntries map[string]*list.Element // nil unless Backend == "compiled"
-	srcLRU     *list.List
-	srcHits    int64
-	srcMisses  int64
-	lastEval   atomic.Int64 // nanoseconds of the most recent EvalNode
-}
-
-// srcCacheSize bounds the source→AST cache of the compiled backend.
-const srcCacheSize = 128
-
-// srcEntry is one cached parse: the AST for src under generation gen.
-type srcEntry struct {
-	src  string
-	gen  uint64
-	node *ast.Node
+	// for the whole of one EvalNode, so Counters (which also takes it)
+	// observes quiesced state.
+	evalMu   sync.Mutex
+	lastEval atomic.Int64 // nanoseconds of the most recent EvalNode
 }
 
 // normalizeEval fills in the unset fields of caller-supplied evaluation
@@ -195,12 +170,7 @@ func NewSession(d dbgif.Debugger, opts ...Options) (*Session, error) {
 	env := core.NewEnv(d, o.Eval)
 	pr := display.New(env.Ctx)
 	pr.Symbolic = o.ShowSymbolic
-	s := &Session{D: d, Env: env, Backend: b, Printer: pr, opts: o}
-	if o.Backend == "compiled" {
-		s.srcEntries = make(map[string]*list.Element)
-		s.srcLRU = list.New()
-	}
-	return s, nil
+	return &Session{D: d, Env: env, Backend: b, Printer: pr, opts: o}, nil
 }
 
 // Options returns the options the session was created with (after
@@ -219,71 +189,6 @@ func MustNewSession(d dbgif.Debugger, opts ...Options) *Session {
 // Parse compiles a DUEL command input to its AST without evaluating it.
 func (s *Session) Parse(src string) (*ast.Node, error) {
 	return parser.Parse(src, s.D)
-}
-
-// ParseCached is Parse through the session's source→AST cache (a hit reuses
-// the node, which lets the compiled backend reuse its cached program too).
-// With an interpreting backend it is a plain Parse. Callers that evaluate
-// the returned node with EvalNode get exactly the EvalFunc fast path, plus
-// the tree in hand — internal/serve classifies queries this way.
-func (s *Session) ParseCached(src string) (*ast.Node, error) {
-	return s.parseCached(src)
-}
-
-// parseCached resolves src through the session's source→AST cache when the
-// compiled backend is active (reusing the node lets the backend reuse its
-// compiled program too), and falls back to a plain parse otherwise. Trees
-// containing declarations or string literals are never cached: both
-// allocate target storage once per node, so re-submitting the same source
-// must get a fresh tree to behave like a fresh parse.
-func (s *Session) parseCached(src string) (*ast.Node, error) {
-	if s.srcEntries == nil {
-		return s.Parse(src)
-	}
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	if el, ok := s.srcEntries[src]; ok {
-		ent := el.Value.(*srcEntry)
-		if ent.gen == s.gen {
-			s.srcHits++
-			s.srcLRU.MoveToFront(el)
-			return ent.node, nil
-		}
-		delete(s.srcEntries, src)
-		s.srcLRU.Remove(el)
-	}
-	n, err := s.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	s.srcMisses++
-	if !allocatesPerNode(n) {
-		s.srcEntries[src] = s.srcLRU.PushFront(&srcEntry{src: src, gen: s.gen, node: n})
-		for s.srcLRU.Len() > srcCacheSize {
-			back := s.srcLRU.Back()
-			delete(s.srcEntries, back.Value.(*srcEntry).src)
-			s.srcLRU.Remove(back)
-		}
-	}
-	return n, nil
-}
-
-// allocatesPerNode reports whether the tree contains an operator that
-// allocates target storage keyed to node identity (declarations, interned
-// string literals).
-func allocatesPerNode(n *ast.Node) bool {
-	if n == nil {
-		return false
-	}
-	if n.Op == ast.OpDecl || n.Op == ast.OpStr {
-		return true
-	}
-	for _, k := range n.Kids {
-		if allocatesPerNode(k) {
-			return true
-		}
-	}
-	return false
 }
 
 // Eval evaluates a DUEL input and collects all produced values.
@@ -312,7 +217,7 @@ func (s *Session) EvalFunc(src string, f func(Result) error) error {
 
 // EvalFuncContext is EvalFunc with caller-controlled cancellation.
 func (s *Session) EvalFuncContext(ctx context.Context, src string, f func(Result) error) error {
-	n, err := s.parseCached(src)
+	n, err := s.Parse(src)
 	if err != nil {
 		return err
 	}
@@ -414,39 +319,17 @@ func (s *Session) ExecContext(ctx context.Context, w io.Writer, src string) erro
 }
 
 // ClearAliases drops all aliases and DUEL-declared variables, like
-// restarting the session. The type environment changes with them, so the
-// source→AST cache generation advances and cached parses are invalidated —
-// atomically with respect to in-flight evaluations and parses: the alias
-// drop and the generation bump happen under both session locks, so no
-// concurrent parseCached can serve a pre-clear tree against the post-clear
-// type environment.
+// restarting the session. It waits for any in-flight evaluation to finish.
 func (s *Session) ClearAliases() {
 	s.evalMu.Lock()
 	defer s.evalMu.Unlock()
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
 	s.Env.ClearAliases()
-	s.gen++
 }
 
 // LastEvalTime reports the wall-clock duration of the most recent EvalNode
 // (zero before the first evaluation). Safe to call while a query is in
 // flight.
 func (s *Session) LastEvalTime() time.Duration { return time.Duration(s.lastEval.Load()) }
-
-// EvalCacheStats reports the compiled fast path's cache effectiveness:
-// source→AST cache hits/misses at the session layer, and compiled-program
-// cache hits/misses plus resident program count inside the backend. All
-// zeros for interpreting backends. It takes the evaluation lock, so it
-// observes quiesced state — do not call it from within an emit callback.
-func (s *Session) EvalCacheStats() (srcHits, srcMisses, progHits, progMisses int64, progs int) {
-	s.evalMu.Lock()
-	defer s.evalMu.Unlock()
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	progHits, progMisses, progs = compiled.CacheStats(s.Env)
-	return s.srcHits, s.srcMisses, progHits, progMisses, progs
-}
 
 // Counters exposes the evaluation instrumentation (symbol lookups, operator
 // applications, symbolic compositions, values produced, memory loads) merged

@@ -107,7 +107,7 @@ func TestFaultSoakEmptyScheduleTransparent(t *testing.T) {
 }
 
 // TestFaultSoak runs the catalog's non-mutating entries under random seeded
-// fault schedules on all three backends — at least 500 runs. No schedule may
+// fault schedules on every backend — at least 500 runs. No schedule may
 // panic the evaluator, leak a goroutine, or overrun the deadline; errors are
 // expected and must be ordinary typed errors.
 func TestFaultSoak(t *testing.T) {

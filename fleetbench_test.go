@@ -37,7 +37,6 @@ import (
 func fleetBenchGroup(b *testing.B, degraded bool) *fleet.Router {
 	b.Helper()
 	opts := duel.DefaultOptions()
-	opts.Backend = "compiled"
 	servers := make([]*serve.Server, 2)
 	reps := make([]fleet.Replica, 2)
 	for i := range servers {
@@ -93,7 +92,7 @@ func BenchmarkFleetFailover(b *testing.B) {
 			const submitters = 4
 			r := fleetBenchGroup(b, degraded)
 			ctx := context.Background()
-			// Warm both replicas' session pools and program caches.
+			// Warm both replicas' session pools.
 			for i := 0; i < 4; i++ {
 				if _, err := r.Eval(ctx, "bench", benchServeQuery); err != nil {
 					b.Fatal(err)

@@ -2,17 +2,24 @@ package duel_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"duel"
+	"duel/internal/core"
 )
 
 // FuzzEvalDifferential extends the parser fuzzer through the whole
 // evaluation pipeline: any input the parser accepts is executed on both the
-// reference interpreter (push) and the compiled backend against identical
-// debuggees, and the two must agree on the printed output and the error,
-// byte for byte. Run open-ended with
+// production evaluator (push) and the paper-faithful reference (machine)
+// against identical debuggees, and the two must agree on the printed output
+// and the error, byte for byte. The one exception is the step limit: the
+// backends count steps differently (machine steps on every eval call,
+// NOVALUE returns included), so MaxSteps cuts them at different values, and
+// a run the limit cut short must have printed a prefix of the other run's
+// values. Run open-ended with
 //
 //	go test -run=NONE -fuzz=FuzzEvalDifferential .
 //
@@ -55,6 +62,18 @@ func FuzzEvalDifferential(f *testing.F) {
 		"sizeof(x)",
 		"&x[3]",
 		"*(&x[3])",
+		// Regression seeds: the error text of the unbounded range and of
+		// the --> expansion bound, the loop bound of a loop whose body
+		// yields every iteration, an @ condition that stops at its first
+		// non-zero value, a range bound wider than the target's long, and
+		// a self-referencing --> step whose path must stay bounded.
+		"0..",
+		"x[0..!=0]",
+		"x-->x",
+		"for(;;)0",
+		"0@(0..)",
+		"7000000000..0",
+		"head-->_",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -63,24 +82,42 @@ func FuzzEvalDifferential(f *testing.F) {
 		if len(src) > 512 {
 			return
 		}
-		pushOut := fuzzExec(t, "push", src)
-		compOut := fuzzExec(t, "compiled", src)
-		if pushOut != compOut {
-			t.Errorf("transcript diverged for %q:\n push:\n%s\n compiled:\n%s",
-				src, indent(pushOut), indent(compOut))
+		pushOut, pushErr := fuzzExec(t, "push", src)
+		machineOut, machineErr := fuzzExec(t, "machine", src)
+		pushCut, machineCut := stepLimited(pushErr), stepLimited(machineErr)
+		var agree bool
+		switch {
+		case pushCut && machineCut:
+			agree = strings.HasPrefix(pushOut, machineOut) || strings.HasPrefix(machineOut, pushOut)
+		case pushCut:
+			agree = strings.HasPrefix(machineOut, pushOut)
+		case machineCut:
+			agree = strings.HasPrefix(pushOut, machineOut)
+		default:
+			agree = pushOut == machineOut && fmt.Sprint(pushErr) == fmt.Sprint(machineErr)
+		}
+		if !agree {
+			t.Errorf("transcript diverged for %q:\n push:\n%s error: %v\n machine:\n%s error: %v",
+				src, indent(pushOut), pushErr, indent(machineOut), machineErr)
 		}
 	})
 }
 
+// stepLimited reports whether err is the MaxSteps abort.
+func stepLimited(err error) bool {
+	var sl *core.StepLimitError
+	return errors.As(err, &sl)
+}
+
 // fuzzExec runs src on one backend against a fresh fixture debuggee and
-// returns the full transcript — printed values plus any terminal error, so
-// a query that fails mid-stream still contributes its partial output to the
-// comparison. The fakedbg allocator is deterministic, so both backends see
-// identical addresses and transcripts are directly comparable. Safety
+// returns the printed values and the terminal error, so a query that fails
+// mid-stream still contributes its partial output to the comparison. The
+// fakedbg allocator is deterministic, so both backends see identical
+// addresses and transcripts are directly comparable. Safety
 // limits are tightened (and the wall-clock watchdog disabled — it would
 // make runs timing-dependent) so pathological inputs terminate by step
 // count, not by timeout.
-func fuzzExec(t *testing.T, backend, src string) string {
+func fuzzExec(t *testing.T, backend, src string) (string, error) {
 	t.Helper()
 	opts := duel.DefaultOptions()
 	opts.Backend = backend
@@ -93,8 +130,6 @@ func fuzzExec(t *testing.T, backend, src string) string {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ses.Exec(&buf, src); err != nil {
-		fmt.Fprintf(&buf, "error: %v\n", err)
-	}
-	return buf.String()
+	err = ses.Exec(&buf, src)
+	return buf.String(), err
 }

@@ -14,17 +14,18 @@ type EmitFn func(value.Value) error
 
 // Backend is one implementation of the generator evaluation semantics.
 type Backend interface {
-	// Name identifies the backend ("push", "machine", "chan").
+	// Name identifies the backend ("push" or "machine").
 	Name() string
 	// Eval drives expression n to completion, calling emit for every
 	// value it produces — the paper's top-level "duel" driver.
 	Eval(e *Env, n *ast.Node, emit EmitFn) error
 }
 
-var backends = map[string]Backend{}
-
-// RegisterBackend installs a backend under its name.
-func RegisterBackend(b Backend) { backends[b.Name()] = b }
+// backends holds every evaluator, keyed by name.
+var backends = map[string]Backend{
+	pushBackend{}.Name():    pushBackend{},
+	machineBackend{}.Name(): machineBackend{},
+}
 
 // GetBackend looks up a backend by name.
 func GetBackend(name string) (Backend, error) {

@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"duel/internal/ctype"
 	"duel/internal/dbgif"
@@ -582,40 +580,33 @@ func TestCycleDetection(t *testing.T) {
 	}
 }
 
-// TestChanBackendGoroutineCleanup verifies abandoned generators unwind: the
-// chan backend spawns one goroutine per node evaluation, and early
-// termination (select, reductions with early exit, errors) must not leak
-// them.
-func TestChanBackendGoroutineCleanup(t *testing.T) {
-	f := newFake(t)
-	before := runtime.NumGoroutine()
-	queries := []string{
-		"(0..1000000)[[3]]", // deep early abandon of an unbounded-ish range
-		"&&/(0..1000)",      // early exit at the first zero
-		"(1..100)@5",        // until stops mid-sequence
-		"x[..10] >? 1000",   // completes normally
-		"sizeof (1..100)",   // sizeof abandons after the first value
+// TestSelfStepPathBounded: a --> step that yields the node itself ("_") has
+// the whole path as its step name, so each level would double the path's
+// symbolic text. The path stops at maxPathSym and the walk ends at the
+// expansion cap, on every backend.
+func TestSelfStepPathBounded(t *testing.T) {
+	f := listFake(t)
+	n, err := parser.Parse("head-->_", f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, q := range queries {
-		for i := 0; i < 20; i++ {
-			if _, err := evalStrings(t, f, "chan", q); err != nil {
-				t.Fatalf("%q: %v", q, err)
-			}
+	opts := DefaultOptions()
+	opts.MaxExpand = 100
+	for _, name := range BackendNames() {
+		b, _ := GetBackend(name)
+		env := NewEnv(f, opts)
+		longest, values := 0, 0
+		err := b.Eval(env, n, func(v value.Value) error {
+			values++
+			longest = max(longest, len(v.Sym.S))
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "exceeded 100 nodes") {
+			t.Errorf("[%s] err = %v, want the expansion cap", name, err)
+		}
+		if values != 100 || longest > 2*maxPathSym {
+			t.Errorf("[%s] %d values, longest path %d bytes; want 100 values within %d bytes",
+				name, values, longest, 2*maxPathSym)
 		}
 	}
-	// Errors must also unwind.
-	for i := 0; i < 20; i++ {
-		if _, err := evalStrings(t, f, "chan", "(0..10) / (5-5)"); err == nil {
-			t.Fatal("division by zero succeeded")
-		}
-	}
-	runtime.GC()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }

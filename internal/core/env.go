@@ -6,11 +6,12 @@
 // value of the left one, comparisons yield their left operand, with/dfs
 // manipulate a name-resolution stack, and so on).
 //
-// Three interchangeable backends realize the same semantics:
+// Two interchangeable backends realize the same semantics:
 //
-//   - push: a yield-callback evaluator (idiomatic Go; the default),
+//   - push: a yield-callback evaluator (idiomatic Go; the default and the
+//     production evaluator),
 //   - machine: the paper's explicit per-node state/NOVALUE state machine,
-//   - chan: goroutine-per-generator coroutines connected by channels.
+//     kept as the reference oracle.
 //
 // Differential tests check that the backends agree value-for-value.
 package core
@@ -92,14 +93,13 @@ type Options struct {
 	// MemCachePages bounds the resident page count, LRU-evicted
 	// (0 = memio default).
 	MemCachePages int
-	// Prefetch lets the compiled backend's scan planner batch target reads
-	// ahead of flat scans (x[a..b], --> walks) with memio.Accessor.Prefetch:
-	// one host crossing per contiguous page run instead of one per element.
-	// Output and fault behavior are unchanged — unmapped or faulting
-	// stripes fall back to ordinary reads — and with MemCache off the
-	// stripes are released after every evaluation, so the accessor returns
-	// to the faithful one-read-one-round-trip regime between commands. The
-	// interpreting backends ignore it.
+	// Prefetch gates the serve layer's batch warm pass: before the members
+	// of a read batch run, ScanStripes plans the array ranges their flat
+	// scans (name[a..b] over a target array) will read, and one
+	// memio.Accessor.PrefetchRanges call fetches the union — one host
+	// crossing per contiguous page run instead of one per element. Output
+	// and fault behavior are unchanged: unmapped or faulting stripes fall
+	// back to ordinary reads. The backends themselves never prefetch.
 	Prefetch bool
 	// Trace, when non-nil, makes the machine backend log every eval call
 	// in the style of the paper's §Semantics walkthrough of
@@ -141,7 +141,7 @@ type Counters struct {
 	MemTransients int64 // transient target faults observed by the accessor
 	MemRetries    int64 // retries the accessor's backoff spent absorbing them
 
-	Prefetches      int64 // Prefetch requests the compiled backend's planner issued
+	Prefetches      int64 // Prefetch requests issued (the serve batch warm pass)
 	PrefetchStripes int64 // host round-trips those prefetches batched into
 	PrefetchPages   int64 // pages made resident by prefetching
 }
@@ -181,7 +181,7 @@ type Env struct {
 	Num  Counters
 	// Mem is the session's single gateway for target-memory traffic; it is
 	// the same accessor Ctx.D holds, so the value engine, the display layer
-	// and all three backends share its cache and counters.
+	// and both backends share its cache and counters.
 	Mem *memio.Accessor
 
 	aliases    map[string]value.Value
@@ -192,22 +192,12 @@ type Env struct {
 	strAddrs   map[*ast.Node]uint64 // interned string literals, per node
 	steps      int
 
-	// backendCache is an opaque per-session slot for backend-specific
-	// compiled artifacts (the compiled backend keeps its program cache
-	// here); the interpreting backends ignore it. See BackendCache.
-	backendCache any
-
 	// sym is the arena the symbolic helpers below compose derivation
 	// strings in: bulk scans pay one allocation per arena chunk instead of
 	// one garbage string per produced element (the dominant term of the
 	// warm re-eval profile once the serve locks are gone). It shares the
 	// Env's single-goroutine discipline.
 	sym value.SymArena
-
-	// citerFree recycles the chan backend's coroutine iterators (struct and
-	// channel pair) across generators and evaluations. Guarded by the
-	// backend's one-runnable-coroutine handshake, not a lock; see cgen.gen.
-	citerFree []*citer
 
 	// cancel is set by the Eval deadline watchdog (and cleared when the
 	// evaluation finishes); step checks it so every backend notices a
@@ -446,18 +436,6 @@ func (e *Env) indexSym(base value.Sym, idx value.Sym) value.Sym {
 	return e.sym.Index(base, idx)
 }
 
-// scanIndexSym composes "prefix idx ]" for the compiled backend's fused scan
-// loop: the "base[" prefix is precomputed once per scan, so only the digits
-// and the closing bracket vary per element. It counts one SymOp like
-// indexSym, keeping the F2 breakdown identical across backends.
-func (e *Env) scanIndexSym(prefix, idx string) value.Sym {
-	if !e.Opts.Symbolic {
-		return value.Sym{}
-	}
-	e.Num.SymOps++
-	return value.Sym{S: e.sym.Concat3(prefix, idx, "]"), Prec: value.PrecPostfix}
-}
-
 // withSym composes the symbolic value of a with expression: base->field or
 // base.field. If the inner value's symbolic equals the base's (it came from
 // "_"), it is passed through unchanged, so "x[..10].if (_ < 0) _" displays
@@ -479,11 +457,19 @@ func (e *Env) withSym(base value.Sym, op string, inner value.Sym) value.Sym {
 // ("6*8" stays "6*8"; "x+1" under * becomes "(x+1)*2").
 func (e *Env) groupSym(s value.Sym) value.Sym { return s }
 
+// maxPathSym bounds the symbolic text of one dfs/bfs path, in bytes.
+const maxPathSym = 4096
+
 // dfsSym renders a dfs/bfs path: root symbolic plus the step names, with
 // runs of three or more identical steps compressed to "-->step[[n]]" (the
 // paper compresses "->a->a" chains to "-->a[[2]]"; its own examples print
 // runs of up to three steps expanded, so the threshold here is three —
 // see EXPERIMENTS.md T1 notes).
+//
+// A path longer than maxPathSym ends in "->..." instead of its remaining
+// steps. A step that refers to the node itself ("head-->_") has the whole
+// path as its name, so without the bound each level would double the
+// path's length.
 func (e *Env) dfsSym(root value.Sym, steps []string) value.Sym {
 	if !e.Opts.Symbolic {
 		return value.Sym{}
@@ -500,6 +486,10 @@ func (e *Env) dfsSym(root value.Sym, steps []string) value.Sym {
 			j++
 		}
 		run := j - i
+		if b.Len()+len(steps[i]) > maxPathSym {
+			b.WriteString("->...")
+			break
+		}
 		if run >= compressAt {
 			b.WriteString("-->")
 			b.WriteString(steps[i])

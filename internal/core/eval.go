@@ -118,7 +118,11 @@ func EvalContext(ctx context.Context, e *Env, b Backend, n *ast.Node, emit EmitF
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if e.Opts.Timeout <= 0 && ctx.Done() == nil {
+	// The watchdog reads the deadline from this copy: the session may
+	// change Opts (REPL "set timeout") as soon as Eval returns, before the
+	// goroutine has run.
+	timeout := e.Opts.Timeout
+	if timeout <= 0 && ctx.Done() == nil {
 		return b.Eval(e, n, emit)
 	}
 	e.cancel.Store(false)
@@ -130,8 +134,8 @@ func EvalContext(ctx context.Context, e *Env, b Backend, n *ast.Node, emit EmitF
 	)
 	go func() {
 		var timerC <-chan time.Time
-		if e.Opts.Timeout > 0 {
-			t := time.NewTimer(e.Opts.Timeout)
+		if timeout > 0 {
+			t := time.NewTimer(timeout)
 			defer t.Stop()
 			timerC = t.C
 		}
@@ -176,7 +180,7 @@ func EvalContext(ctx context.Context, e *Env, b Backend, n *ast.Node, emit EmitF
 			if !errors.As(err, &te) {
 				// The abort surfaced as an interrupted memory fault
 				// (or similar); report the deadline as the cause.
-				err = &TimeoutError{Limit: e.Opts.Timeout, Expr: e.exprUnder(n)}
+				err = &TimeoutError{Limit: timeout, Expr: e.exprUnder(n)}
 			}
 		}
 	}

@@ -1,8 +1,7 @@
-// Static scan-stripe planning for batch warm passes. The compiled backend's
-// runtime planner (internal/core/compiled/plan.go) prefetches ahead of a
-// scan it is already executing; ScanStripes answers a different question —
-// before any member of a serve batch runs, which target ranges will the
-// batch's queries scan? — so one PrefetchRanges pass can warm the union.
+// Static scan-stripe planning for batch warm passes. ScanStripes answers one
+// question — before any member of a serve batch runs, which target ranges
+// will the batch's queries scan? — so one PrefetchRanges pass can warm the
+// union.
 //
 // The planner is deliberately conservative and purely advisory. It only
 // recognizes the statically decidable shape: an index node whose base is a
@@ -25,8 +24,8 @@ import (
 const maxPlannedStripe = 1 << 20
 
 // ScanStripes returns the target ranges the statically recognizable scans of
-// n will read. Gated on Options.Prefetch like the runtime planner; returns
-// nil when nothing qualifies.
+// n will read. Gated on Options.Prefetch; returns nil when nothing
+// qualifies.
 func ScanStripes(e *Env, n *ast.Node) []memio.Range {
 	if !e.Opts.Prefetch || n == nil {
 		return nil
@@ -97,7 +96,7 @@ func (e *Env) stripeOf(n *ast.Node) (memio.Range, bool) {
 		elem = t.Elem
 	case *ctype.Pointer:
 		// The scan will read through the pointer's current value; planning
-		// would need that read. Skip — the runtime planner covers it.
+		// would need that read. Skip.
 		return memio.Range{}, false
 	default:
 		return memio.Range{}, false

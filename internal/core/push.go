@@ -17,8 +17,6 @@ import (
 // to Go closures instead of per-node state machines.
 type pushBackend struct{}
 
-func init() { RegisterBackend(pushBackend{}) }
-
 // Name implements Backend.
 func (pushBackend) Name() string { return "push" }
 
@@ -467,14 +465,13 @@ func (e *Env) evalPush(n *ast.Node, yield EmitFn) error {
 // --- helpers ---
 
 func (e *Env) constValue(n *ast.Node) value.Value {
-	v := value.MakeInt(ConstType(e.Ctx.Arch, n), int64(n.Int))
+	v := value.MakeInt(constType(e.Ctx.Arch, n), int64(n.Int))
 	v.Sym = e.atom(n.Text)
 	return v
 }
 
-// ConstType resolves the C type of an integer-constant node under arch —
-// compile-time data, so the compiled backend folds it once per program.
-func ConstType(arch *ctype.Arch, n *ast.Node) ctype.Type {
+// constType resolves the C type of an integer-constant node under arch.
+func constType(arch *ctype.Arch, n *ast.Node) ctype.Type {
 	switch {
 	case n.Unsigned && n.Long:
 		return arch.ULong

@@ -115,7 +115,7 @@ func TestGeneratorLHSAssignment(t *testing.T) {
 			t.Fatalf("[%s] %v", b, err)
 		}
 	}
-	// Three backends ran: each added 100 to x[0..2].
+	// Every backend ran: each added 100 to x[0..2].
 	got, err := evalStrings(t, newFake(t), "push", "x[0..2]")
 	if err != nil {
 		t.Fatal(err)
@@ -300,11 +300,12 @@ func TestCallCartesianProduct(t *testing.T) {
 
 // TestWithStackBalanced: whatever abandons a suspended with mid-sequence
 // (until, select, reductions, sizeof, errors), the name-resolution stack
-// must end every evaluation empty — the machine backend's resetTree and the
-// chan backend's goroutine unwinding both guarantee it.
+// must end every evaluation empty — the push backend's pop on every return and
+// machine backend's resetTree both guarantee it.
 func TestWithStackBalanced(t *testing.T) {
 	exprs := []string{
 		"(s.(10,20))@15",           // until stops inside the with
+		"(1,2)@(s.(0,a,b))",        // a stop condition abandoned inside its with
 		"(s.(10,20,30))[[0]]",      // select abandons after index 0
 		"#/(s.(a,b))",              // reduction drains fully
 		"sizeof s.(a,b)",           // sizeof abandons after one value

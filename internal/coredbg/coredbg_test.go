@@ -196,7 +196,7 @@ func TestQueriesAllBackends(t *testing.T) {
 		"g":         "g = 42\n",
 	}
 	var ref []string
-	for _, backend := range []string{"push", "machine", "chan", "compiled"} {
+	for _, backend := range []string{"push", "machine"} {
 		t.Run(backend, func(t *testing.T) {
 			opts := duel.DefaultOptions()
 			opts.Backend = backend

@@ -291,9 +291,9 @@ func (r *REPL) help() {
   break f if <expr>   conditional breakpoint (DUEL condition)
   list [line]         show program source around a line
   info <breakpoints|watchpoints|functions|globals|locals|types>
-  set <backend push|machine|chan|compiled | symbolic on|off
-       | cycledetect on|off | maxsteps n | timeout dur | errorvalues on|off
-       | trace on|off>   (trace logs the paper-style eval walkthrough)
+  set backend push|machine | symbolic on|off | cycledetect on|off
+      | maxsteps n | timeout dur | errorvalues on|off
+      | trace on|off     (trace logs the paper-style eval walkthrough)
   faults [off | key=value ...]   arm deterministic target-fault injection
                       (rates: unmapped short transient latency allocfail
                        callfail callhang all; seed= after= limit= delay= hang=)
@@ -302,33 +302,27 @@ func (r *REPL) help() {
                       (knobs: hedge retry deadline batch wait stream
                        replicas — "help serve" for the full list)
   counters            evaluation statistics
-  stats               last-eval time, compile-cache and prefetch report
+  stats               last-eval time and host-read report
   quit
 `)
 }
 
 // cmdStats reports the wall-clock cost of the most recent evaluation and
-// the compiled fast path's effectiveness: parse/compile cache traffic,
-// prefetch stripes issued, and how many engine reads were answered without
-// a host round-trip (by prefetched pages or the cache).
+// how many engine reads were answered without a host round-trip (by the
+// memio page cache).
 func (r *REPL) cmdStats() {
 	if r.evalDepth > 0 {
-		// EvalCacheStats/Counters take the evaluation lock the suspended
-		// outer evaluation holds.
+		// Counters takes the evaluation lock the suspended outer
+		// evaluation holds.
 		r.printf("stats unavailable while an evaluation is suspended\n")
 		return
 	}
 	r.printf("last eval: %v\n", r.Ses.LastEvalTime())
-	srcHits, srcMisses, progHits, progMisses, progs := r.Ses.EvalCacheStats()
-	r.printf("compile cache: source %d hits / %d misses, programs %d hits / %d misses (%d resident)\n",
-		srcHits, srcMisses, progHits, progMisses, progs)
 	c := r.Ses.Counters()
 	saved := c.TargetReads - c.HostReads
 	if saved < 0 {
 		saved = 0
 	}
-	r.printf("prefetch: %d calls, %d stripes, %d pages\n",
-		c.Prefetches, c.PrefetchStripes, c.PrefetchPages)
 	r.printf("host reads saved: %d of %d engine reads (%d host round-trips)\n",
 		saved, c.TargetReads, c.HostReads)
 	if fs := r.fleetStats; fs != nil {
@@ -1001,8 +995,7 @@ func (r *REPL) evalNode(n *ast.Node, f func(duel.Result) error) error {
 	return r.Ses.EvalNode(n, f)
 }
 
-// evalSrc is evalNode for source text, parsing first. The top-level path
-// goes through Session.EvalFunc to keep the source→AST cache hot.
+// evalSrc is evalNode for source text, parsing first.
 func (r *REPL) evalSrc(src string, f func(duel.Result) error) error {
 	if r.evalDepth > 0 {
 		n, err := r.Ses.Parse(src)

@@ -117,17 +117,6 @@ func (a *SymArena) With(base Sym, op string, inner Sym) Sym {
 	return Sym{S: str(b), Prec: PrecPostfix}
 }
 
-// Concat3 concatenates three plain strings in the arena. The compiled
-// backend's fused scan loop builds its per-element "base[i]" from a
-// precomputed prefix this way.
-func (a *SymArena) Concat3(s1, s2, s3 string) string {
-	b := a.grab(len(s1) + len(s2) + len(s3))[:0]
-	b = append(b, s1...)
-	b = append(b, s2...)
-	b = append(b, s3...)
-	return str(b)
-}
-
 // smallInts caches the decimal strings of the integers scans produce most
 // (subscripts, comparison results, typical payloads), so the per-element
 // integer atom costs no allocation for typical array sizes.

@@ -488,54 +488,75 @@ func measureListWalk(n int) (on, off time.Duration, err error) {
 
 // --- T6: implementation size ---
 
-// moduleLoc describes one row of the size table.
-type moduleLoc struct {
-	ours      string // directory (relative to repo root)
-	paperPart string
-	paperLoc  int
+// SizeRow is one row of the size table: a directory (relative to the repo
+// root) or a summary label, its Go line count, and the paper's C
+// counterpart.
+type SizeRow struct {
+	Module    string
+	GoLines   int
+	PaperLoc  int // 0 = the paper gives no count
+	PaperPart string
 }
 
-// T6 counts our Go lines per module and sets them against the paper's
+// T6Rows counts our Go lines per module, then the non-test total of those
+// modules and the test lines of the whole repository. EXPERIMENTS.md
+// quotes these rows; TestT6Counts keeps the two in step.
+func T6Rows() ([]SizeRow, error) {
+	root, err := findRoot()
+	if err != nil {
+		return nil, err
+	}
+	rows := []SizeRow{
+		{Module: "internal/core", PaperPart: "duel_eval + associated functions", PaperLoc: 700},
+		{Module: "internal/duel/value", PaperPart: "operator application + Value manipulation", PaperLoc: 1200},
+		{Module: "internal/duel/lexer", PaperPart: "hand-written lexer"},
+		{Module: "internal/duel/parser", PaperPart: "yacc-based parser"},
+		{Module: "internal/duel/ast", PaperPart: "AST / node definitions"},
+		{Module: "internal/duel/display", PaperPart: "symbolic display"},
+		{Module: "internal/dbgif", PaperPart: "narrow interface definition"},
+		{Module: "internal/debugger", PaperPart: "debugger interface module (gdb glue)", PaperLoc: 400},
+		{Module: "internal/ctype", PaperPart: "type representations (substrate)"},
+		{Module: "internal/mem", PaperPart: "target address space (substrate)"},
+		{Module: "internal/target", PaperPart: "process model (substrate)"},
+		{Module: "internal/cparse", PaperPart: "micro-C front end (substrate)"},
+		{Module: "internal/microc", PaperPart: "micro-C interpreter (substrate)"},
+	}
+	total := 0
+	for i := range rows {
+		loc, err := countGoLines(filepath.Join(root, rows[i].Module), false)
+		if err != nil {
+			return nil, err
+		}
+		rows[i].GoLines = loc
+		total += loc
+	}
+	testLoc, err := countGoLines(root, true)
+	if err != nil {
+		return nil, err
+	}
+	return append(rows,
+		SizeRow{Module: "total (non-test)", GoLines: total},
+		SizeRow{Module: "tests (whole repo)", GoLines: testLoc}), nil
+}
+
+// T6 prints the size table: our Go lines per module against the paper's
 // C line counts.
 func T6(w io.Writer) error {
 	fmt.Fprintln(w, "T6: implementation size (paper's C lines vs our Go lines)")
 	fmt.Fprintln(w, "----------------------------------------------------------")
-	root, err := findRoot()
+	rows, err := T6Rows()
 	if err != nil {
 		return err
 	}
-	rows := []moduleLoc{
-		{"internal/core", "duel_eval + associated functions", 700},
-		{"internal/duel/value", "operator application + Value manipulation", 1200},
-		{"internal/duel/lexer", "hand-written lexer", 0},
-		{"internal/duel/parser", "yacc-based parser", 0},
-		{"internal/duel/ast", "AST / node definitions", 0},
-		{"internal/duel/display", "symbolic display", 0},
-		{"internal/dbgif", "narrow interface definition", 0},
-		{"internal/debugger", "debugger interface module (gdb glue)", 400},
-		{"internal/ctype", "type representations (substrate)", 0},
-		{"internal/mem", "target address space (substrate)", 0},
-		{"internal/target", "process model (substrate)", 0},
-		{"internal/cparse", "micro-C front end (substrate)", 0},
-		{"internal/microc", "micro-C interpreter (substrate)", 0},
-	}
 	fmt.Fprintf(w, "%-24s %9s %9s  %s\n", "module", "Go lines", "paper C", "paper part")
-	totalGo := 0
 	for _, r := range rows {
-		loc, err := countGoLines(filepath.Join(root, r.ours), false)
-		if err != nil {
-			return err
-		}
-		totalGo += loc
 		pc := "-"
-		if r.paperLoc > 0 {
-			pc = fmt.Sprint(r.paperLoc)
+		if r.PaperLoc > 0 {
+			pc = fmt.Sprint(r.PaperLoc)
 		}
-		fmt.Fprintf(w, "%-24s %9d %9s  %s\n", r.ours, loc, pc, r.paperPart)
+		line := fmt.Sprintf("%-24s %9d %9s  %s", r.Module, r.GoLines, pc, r.PaperPart)
+		fmt.Fprintln(w, strings.TrimRight(line, " "))
 	}
-	testLoc, _ := countGoLines(root, true)
-	fmt.Fprintf(w, "%-24s %9d\n", "total (non-test)", totalGo)
-	fmt.Fprintf(w, "%-24s %9d\n", "tests (whole repo)", testLoc)
 	fmt.Fprintln(w, "\npaper interface-module breakdown (30 duel command / 100 type conversion")
 	fmt.Fprintln(w, "/ 100 symbol table / 70 address space / 100 misc): our equivalents live")
 	fmt.Fprintln(w, "in internal/debugger (adapter) and internal/dbgif (interface).")
@@ -608,7 +629,7 @@ func countGoLines(dir string, testsOnly bool) (int, error) {
 // T7 times a standard query suite on each backend.
 func T7(w io.Writer) error {
 	fmt.Fprintln(w, "T7: generator-backend ablation (push closures vs the paper's explicit")
-	fmt.Fprintln(w, "    state machine vs goroutine coroutines)")
+	fmt.Fprintln(w, "    state machine)")
 	fmt.Fprintln(w, "----------------------------------------------------------------------")
 	queries := []struct{ name, q string }{
 		{"scan", "x[..5000] >? 0"},
@@ -620,7 +641,7 @@ func T7(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	backends := []string{"push", "machine", "chan"}
+	backends := []string{"push", "machine"}
 	fmt.Fprintf(w, "%-12s", "query")
 	for _, b := range backends {
 		fmt.Fprintf(w, " %16s", b)
@@ -660,8 +681,7 @@ func T7(w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "\nthe paper: \"more efficient implementations of generators are possible\";")
-	fmt.Fprintln(w, "closures beat per-call state machines, and true coroutines (channels)")
-	fmt.Fprintln(w, "pay two synchronizations per produced value.")
+	fmt.Fprintln(w, "closures beat per-call state machines.")
 	return nil
 }
 

@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"duel/internal/core"
 	"duel/internal/scenarios"
 )
 
@@ -18,11 +23,35 @@ func TestT1AllPass(t *testing.T) {
 	if strings.Contains(out, "FAIL") {
 		t.Errorf("T1 reports failures:\n%s", out)
 	}
-	want := len(scenarios.Catalog) * 3
-	if !strings.Contains(out, "catalog runs pass") {
-		t.Errorf("missing summary:\n%s", out)
+	runs := len(scenarios.Catalog) * len(core.BackendNames())
+	summary := fmt.Sprintf("%d/%d catalog runs pass", runs, runs)
+	if !strings.Contains(out, summary) {
+		t.Errorf("missing summary %q:\n%s", summary, out)
 	}
-	_ = want
+	// EXPERIMENTS.md quotes the entry and run counts.
+	doc := experimentsDoc(t)
+	for _, want := range []string{
+		fmt.Sprintf("all %d entries", len(scenarios.Catalog)),
+		fmt.Sprintf("**%d/%d runs pass**", runs, runs),
+	} {
+		if !strings.Contains(doc, want) {
+			t.Errorf("EXPERIMENTS.md T1 does not say %q", want)
+		}
+	}
+}
+
+// experimentsDoc returns EXPERIMENTS.md from the repository root.
+func experimentsDoc(t *testing.T) string {
+	t.Helper()
+	root, err := findRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(root, "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestT2AllEqual asserts every one-liner matches its C formulation.
@@ -36,7 +65,9 @@ func TestT2AllEqual(t *testing.T) {
 	}
 }
 
-// TestT6Counts sanity-checks the size table against the real tree.
+// TestT6Counts sanity-checks the size table against the real tree, and
+// holds the table EXPERIMENTS.md quotes to the same rows and counts: a
+// change that moves a line count must regenerate the document.
 func TestT6Counts(t *testing.T) {
 	var sb bytes.Buffer
 	if err := T6(&sb); err != nil {
@@ -48,6 +79,50 @@ func TestT6Counts(t *testing.T) {
 			t.Errorf("T6 missing %s:\n%s", mod, out)
 		}
 	}
+	rows, err := T6Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := t6DocRows(t, experimentsDoc(t))
+	if len(doc) != len(rows) {
+		t.Errorf("EXPERIMENTS.md T6 has %d rows, duelexp t6 prints %d", len(doc), len(rows))
+	}
+	for _, r := range rows {
+		got, ok := doc[r.Module]
+		switch {
+		case !ok:
+			t.Errorf("EXPERIMENTS.md T6 has no row for %s (%d lines)", r.Module, r.GoLines)
+		case got != r.GoLines:
+			t.Errorf("EXPERIMENTS.md T6 says %s is %d lines; duelexp t6 counts %d", r.Module, got, r.GoLines)
+		}
+	}
+}
+
+// t6DocRows parses the T6 table of EXPERIMENTS.md into module → Go lines.
+// Bold markers and thousands separators are dropped.
+func t6DocRows(t *testing.T, doc string) map[string]int {
+	t.Helper()
+	_, sec, ok := strings.Cut(doc, "## T6")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no T6 section")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	rows := map[string]int{}
+	for _, line := range strings.Split(sec, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 || cells[0] != "" {
+			continue
+		}
+		clean := func(s string) string {
+			return strings.NewReplacer("**", "", ",", "").Replace(strings.TrimSpace(s))
+		}
+		n, err := strconv.Atoi(clean(cells[2]))
+		if err != nil {
+			continue // header and separator rows
+		}
+		rows[clean(cells[1])] = n
+	}
+	return rows
 }
 
 // TestF2Runs checks the counter breakdown produces all rows.
@@ -107,8 +182,8 @@ func TestT4Shape(t *testing.T) {
 	}
 }
 
-// TestF1Shape runs the scaling series at small N and checks all backends
-// report positive throughput.
+// TestF1Shape runs the scaling series and checks every backend has a
+// column.
 func TestF1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
@@ -117,7 +192,7 @@ func TestF1Shape(t *testing.T) {
 	if err := F1(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "chan") || !strings.Contains(sb.String(), "push") {
+	if !strings.Contains(sb.String(), "machine") || !strings.Contains(sb.String(), "push") {
 		t.Errorf("F1 missing backend columns:\n%s", sb.String())
 	}
 }

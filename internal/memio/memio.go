@@ -8,7 +8,7 @@
 // sprinkling raw byte fetches through the evaluator.
 //
 // Accessor wraps a dbgif.Debugger and is itself a dbgif.Debugger, so every
-// layer above (core.Env, value.Ctx, display.Printer, the three evaluator
+// layer above (core.Env, value.Ctx, display.Printer, the evaluator
 // backends) holds an Accessor and cannot bypass it. It adds:
 //
 //   - a page-granular read cache (configurable page size, LRU-bounded entry
@@ -16,10 +16,10 @@
 //     AllocTargetSpace, and a conservative whole-cache flush around
 //     CallTargetFunc (a target call may mutate arbitrary memory);
 //   - Prefetch, a batched read that makes a whole scan range resident in one
-//     host crossing per contiguous page run; the compiled backend's scan
-//     planner drives it, and the same invalidation machinery keeps the
-//     stripes coherent (with the cache off they are released after each
-//     evaluation, see ReleasePrefetched);
+//     host crossing per contiguous page run; the serve batcher's warm pass
+//     drives it, and the same invalidation machinery keeps the stripes
+//     coherent (with the cache off they are released when the batch ends,
+//     see ReleasePrefetched and EndBatch);
 //   - typed fault errors (Fault{Addr, Len, Op}) replacing ad-hoc error
 //     strings, so --> expansion and the symbolic error messages can
 //     distinguish unmapped reads from short (partially mapped) reads;
@@ -668,10 +668,9 @@ func (a *Accessor) prefetchLocked(addr uint64, n int) {
 	}
 }
 
-// ReleasePrefetched drops the resident pages of a cache-off accessor. The
-// compiled backend calls it at the end of each evaluation so that, with the
-// page cache off, prefetched stripes never outlive the expression that
-// requested them: between evaluations the accessor is back to the faithful
+// ReleasePrefetched drops the resident pages of a cache-off accessor, so
+// that, with the page cache off, prefetched stripes never outlive the work
+// that requested them: afterwards the accessor is back to the faithful
 // one-read-one-round-trip regime even if the target is mutated behind the
 // accessor's back (e.g. by running debuggee code directly). With the cache
 // on it is a no-op — the pages ARE the cache, and the usual invalidation

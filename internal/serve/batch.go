@@ -101,7 +101,7 @@ func (t *targetState) classify(src string) (mutating bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	n, err := ses.ParseCached(src)
+	n, err := ses.Parse(src)
 	if err != nil {
 		return false, err
 	}
@@ -283,7 +283,7 @@ func (s *Server) runBatch(c *job, aff *affinity, id int) {
 	var stripes []memio.Range
 	for _, j := range c.members {
 		j.queueWait = pickup.Sub(j.enqueuedAt)
-		n, perr := ses.ParseCached(j.src)
+		n, perr := ses.Parse(j.src)
 		if perr != nil {
 			s.releaseProbes(j)
 			j.ran = true

@@ -309,7 +309,7 @@ func TestBatchStraddlesBrownout(t *testing.T) {
 }
 
 // streamBackends is the full backend matrix the byte-identity test runs.
-var streamBackends = []string{"push", "machine", "chan", "compiled"}
+var streamBackends = []string{"push", "machine"}
 
 // TestStreamMatchesSubmit holds SubmitStream to byte-identity with the
 // collected path on every backend: same queries, same order, and every
@@ -381,9 +381,8 @@ func TestStreamMatchesSubmit(t *testing.T) {
 }
 
 // TestStreamAbandonment: a consumer that gives up mid-stream (emit error)
-// aborts the evaluation promptly, leaks nothing — the chan backend's
-// generator goroutines included — and leaves the pooled session healthy for
-// the next query.
+// aborts the evaluation promptly, leaks nothing and leaves the pooled
+// session healthy for the next query.
 func TestStreamAbandonment(t *testing.T) {
 	for _, backend := range streamBackends {
 		t.Run(backend, func(t *testing.T) {

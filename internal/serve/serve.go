@@ -1072,7 +1072,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 		return err
 	}
 	ses := ps.ses
-	n, perr := ses.ParseCached(j.src)
+	n, perr := ses.Parse(j.src)
 	if perr != nil {
 		// A parse error never reached the target; it says nothing about
 		// target health, so neither the breaker nor the health score hears

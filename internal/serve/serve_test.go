@@ -20,9 +20,8 @@ import (
 	"duel/internal/mem"
 )
 
-// buildDebuggee is the differential fixture shared with the compiled
-// backend's parity suite: int x[10], a 5-node list at head, a native
-// function twice(k) = 2*k.
+// buildDebuggee is the differential fixture: int x[10], a 5-node list at
+// head, a native function twice(k) = 2*k.
 func buildDebuggee(t *testing.T) *fakedbg.Fake {
 	t.Helper()
 	f := fakedbg.New(ctype.ILP32, 1<<16)
@@ -74,9 +73,8 @@ func buildDebuggee(t *testing.T) *fakedbg.Fake {
 	return f
 }
 
-// parityQueries is the 39-query suite from the compiled backend's parity
-// tests, reused here as the server-path differential: everything a session
-// answers directly, the server must answer identically.
+// parityQueries is the 39-query server-path differential suite: everything
+// a session answers directly, the server must answer identically.
 var parityQueries = []string{
 	"1+2*3",
 	"-x[0] + !x[1]",

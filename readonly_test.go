@@ -32,7 +32,7 @@ func TestReadOnlyTargetReads(t *testing.T) {
 		"#/(head-->next)",
 		"x[..10] @ (_ < 0)",
 	}
-	for _, backend := range []string{"push", "machine", "chan", "compiled"} {
+	for _, backend := range []string{"push", "machine"} {
 		t.Run(backend, func(t *testing.T) {
 			rw := execQueries(t, backend, buildFakeDebuggee(t), queries)
 			ro := execQueries(t, backend, buildReadOnlyDebuggee(t), queries)
@@ -47,7 +47,7 @@ func TestReadOnlyTargetReads(t *testing.T) {
 
 // TestReadOnlyTargetContainment runs every mutating construct against the
 // frozen debuggee with ErrorValues on: each write lands as a per-element
-// error value ("sym = <read-only target>") instead of aborting, and all four
+// error value ("sym = <read-only target>") instead of aborting, and both
 // backends agree byte for byte.
 func TestReadOnlyTargetContainment(t *testing.T) {
 	cases := []struct {
@@ -68,7 +68,7 @@ func TestReadOnlyTargetContainment(t *testing.T) {
 		queries[i] = c.query
 	}
 	var ref []string
-	for _, backend := range []string{"push", "machine", "chan", "compiled"} {
+	for _, backend := range []string{"push", "machine"} {
 		t.Run(backend, func(t *testing.T) {
 			opts := duel.DefaultOptions()
 			opts.Backend = backend
@@ -108,7 +108,7 @@ func TestReadOnlyTargetContainment(t *testing.T) {
 func TestReadOnlyTargetAborts(t *testing.T) {
 	queries := []string{"int i;", "x[0] = 5", "x[1]++", "twice(3)"}
 	var ref []string
-	for _, backend := range []string{"push", "machine", "chan", "compiled"} {
+	for _, backend := range []string{"push", "machine"} {
 		t.Run(backend, func(t *testing.T) {
 			opts := duel.DefaultOptions()
 			opts.Backend = backend
@@ -147,7 +147,7 @@ func TestReadOnlyTargetAborts(t *testing.T) {
 // contained: they allocate target storage, so even with ErrorValues on the
 // command fails cleanly instead of registering a dangling alias.
 func TestReadOnlyDeclAlwaysAborts(t *testing.T) {
-	for _, backend := range []string{"push", "machine", "chan", "compiled"} {
+	for _, backend := range []string{"push", "machine"} {
 		t.Run(backend, func(t *testing.T) {
 			opts := duel.DefaultOptions()
 			opts.Backend = backend

@@ -45,7 +45,6 @@ func benchServer(b testing.TB, workers, queueDepth int) *serve.Server {
 		b.Fatal(err)
 	}
 	opts := duel.DefaultOptions()
-	opts.Backend = "compiled"
 	srv := serve.New(serve.Config{Workers: workers, QueueDepth: queueDepth, Session: opts})
 	srv.Register("bench", d)
 	b.Cleanup(func() {
@@ -69,7 +68,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			srv := benchServer(b, workers, 4*workers)
 			ctx := context.Background()
-			// Warm the pool and the program caches.
+			// Warm the session pool.
 			if _, err := srv.Eval(ctx, "bench", benchServeQuery); err != nil {
 				b.Fatal(err)
 			}
@@ -144,8 +143,7 @@ func BenchmarkServeOverload(b *testing.B) {
 
 // serveThroughput measures read-only queries/s through srv: `workers`
 // submitters evaluate the benchmark query in a closed loop for roughly `d`,
-// after a warmup pass that populates the session pool and the
-// compiled-program caches.
+// after a warmup pass that populates the session pool.
 func serveThroughput(t testing.TB, srv *serve.Server, workers int, d time.Duration) float64 {
 	ctx := context.Background()
 	var warm sync.WaitGroup
@@ -203,7 +201,6 @@ func hedgeServer(b testing.TB, workers int, hedge bool) *serve.Server {
 		b.Fatal(err)
 	}
 	opts := duel.DefaultOptions()
-	opts.Backend = "compiled"
 	srv := serve.New(serve.Config{
 		Workers:    workers,
 		QueueDepth: 4 * workers,
@@ -287,7 +284,6 @@ func batchServer(b testing.TB, workers int, batch serve.BatchConfig) (*serve.Ser
 	}
 	ct := &readCountingTarget{Debugger: d}
 	opts := duel.DefaultOptions()
-	opts.Backend = "compiled"
 	srv := serve.New(serve.Config{Workers: workers, QueueDepth: 8 * workers, Session: opts, Batch: batch})
 	srv.Register("bench", ct)
 	b.Cleanup(func() {

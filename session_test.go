@@ -17,11 +17,22 @@ import (
 
 func TestSessionOptions(t *testing.T) {
 	d := newArrayTarget(t)
-	// Unknown backend is rejected.
-	bad := duel.DefaultOptions()
-	bad.Backend = "quantum"
-	if _, err := duel.NewSession(d, bad); err == nil {
-		t.Error("unknown backend accepted")
+	// Unknown and removed backends are rejected with an error that names
+	// the remaining ones.
+	for _, name := range []string{"quantum", "chan", "compiled"} {
+		bad := duel.DefaultOptions()
+		bad.Backend = name
+		_, err := duel.NewSession(d, bad)
+		if err == nil {
+			t.Errorf("backend %q accepted", name)
+			continue
+		}
+		if want := "(have [machine push])"; !strings.Contains(err.Error(), want) {
+			t.Errorf("backend %q rejected with %q, want it to list %s", name, err, want)
+		}
+	}
+	if got := fmt.Sprint(core.BackendNames()); got != "[machine push]" {
+		t.Errorf("BackendNames() = %s, want [machine push]", got)
 	}
 	// Symbolic display off.
 	opts := duel.DefaultOptions()
