@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"duel"
+	"duel/internal/dbgif"
 	"duel/internal/scenarios"
 )
 
@@ -13,11 +14,26 @@ import (
 // the result lines and the target's stdout.
 func runEntry(t *testing.T, backend string, e scenarios.Entry) (lines []string, stdout string) {
 	t.Helper()
-	var out bytes.Buffer
-	d, _, err := scenarios.Build(e.Scenario, &out)
+	d, out := buildEntry(t, e)
+	return runEntryOn(t, d, out, backend, e)
+}
+
+// buildEntry builds the scenario image of a catalog entry; the returned
+// buffer collects the target's stdout.
+func buildEntry(t *testing.T, e scenarios.Entry) (dbgif.Debugger, *bytes.Buffer) {
+	t.Helper()
+	out := new(bytes.Buffer)
+	d, _, err := scenarios.Build(e.Scenario, out)
 	if err != nil {
 		t.Fatalf("building scenario %q: %v", e.Scenario, err)
 	}
+	return d, out
+}
+
+// runEntryOn executes one catalog entry on the image d, whose target
+// stdout goes to out.
+func runEntryOn(t *testing.T, d dbgif.Debugger, out *bytes.Buffer, backend string, e scenarios.Entry) (lines []string, stdout string) {
+	t.Helper()
 	opts := duel.DefaultOptions()
 	opts.Backend = backend
 	s := duel.MustNewSession(d, opts)
