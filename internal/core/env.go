@@ -343,7 +343,7 @@ func (e *Env) fetch(name string) (value.Value, error) {
 			continue
 		}
 		if w.scope.FrameScope > 0 {
-			if vi, ok := e.Ctx.D.FrameVariable(w.scope.FrameScope-1, name); ok {
+			if vi, ok := e.Ctx.D.FrameVariable(int(w.scope.FrameScope)-1, name); ok {
 				lv := value.Lvalue(vi.Type, vi.Addr)
 				lv.Sym = e.atom(name)
 				return lv, nil
@@ -816,7 +816,7 @@ func (e *Env) directField(u value.Value, name string, arrow bool) (value.Value, 
 	}
 	if entry.hasScope {
 		if entry.scope.FrameScope > 0 {
-			if vi, ok := e.Ctx.D.FrameVariable(entry.scope.FrameScope-1, name); ok {
+			if vi, ok := e.Ctx.D.FrameVariable(int(entry.scope.FrameScope)-1, name); ok {
 				lv := value.Lvalue(vi.Type, vi.Addr)
 				lv.Sym = e.atom(name)
 				return lv, nil

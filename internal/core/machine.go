@@ -1430,7 +1430,7 @@ func (m *machine) evalFrameBuiltin(n *ast.Node, st *mstate) (value.Value, bool, 
 	if lvl < 0 || lvl >= e.Ctx.D.NumFrames() {
 		return value.Value{}, false, fmt.Errorf("duel: no frame %d (%d active)", lvl, e.Ctx.D.NumFrames())
 	}
-	v := value.Value{FrameScope: lvl + 1}
+	v := value.Value{FrameScope: int32(lvl + 1)}
 	v.Sym = e.atom("frame(" + strconv.Itoa(lvl) + ")")
 	return v, true, nil
 }

@@ -420,7 +420,7 @@ func (c *Ctx) Field(v Value, name string) (Value, error) {
 	}
 	if v.IsLvalue {
 		out := Lvalue(f.Type, v.Addr+uint64(f.Off))
-		out.BitOff, out.BitWidth = f.BitOff, f.BitWidth
+		out.BitOff, out.BitWidth = int8(f.BitOff), int8(f.BitWidth)
 		return out, nil
 	}
 	size := ctype.Strip(f.Type).Size()

@@ -71,21 +71,28 @@ func BinarySym(a Sym, op string, b Sym, prec int) Sym {
 // Value is a DUEL value: a C type, an actual value (an rvalue's bytes in
 // target representation, or an lvalue's target address, possibly a
 // bitfield), and a symbolic value recording its derivation.
+//
+// The struct is passed and yielded by value on every generator step, so
+// its size is the per-element copy cost: the small fields share the one
+// word after Bytes (TestValueSize pins the total at 96 bytes).
 type Value struct {
 	Type ctype.Type
 
-	// Lvalue state.
-	IsLvalue bool
-	Addr     uint64
-	BitOff   int // bitfield position within the addressed unit
-	BitWidth int // 0 = not a bitfield
+	// Lvalue state: the target address (IsLvalue and the bitfield
+	// position are in the packed word below).
+	Addr uint64
 
 	// Rvalue state (when !IsLvalue): little-endian target bytes.
 	Bytes []byte
 
+	IsLvalue bool
+	BitOff   int8 // bitfield position within the addressed unit (< 64)
+	BitWidth int8 // 0 = not a bitfield; at most 64 (ctype checks the width)
+
 	// FrameScope marks the special value produced by frame(i): a scope
-	// handle whose fields are the frame's locals (extension).
-	FrameScope int // frame level + 1; 0 = not a frame scope
+	// handle whose fields are the frame's locals (extension). It is
+	// bounded by the debugger's NumFrames.
+	FrameScope int32 // frame level + 1; 0 = not a frame scope
 
 	// Err marks an error value (Options.Eval.ErrorValues containment, an
 	// extension): the element could not be produced because of a target

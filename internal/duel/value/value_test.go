@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"duel/internal/ctype"
 	"duel/internal/duel/ast"
@@ -15,6 +16,17 @@ import (
 func newCtx() (*Ctx, *fakedbg.Fake) {
 	f := fakedbg.New(ctype.ILP32, 1<<16)
 	return &Ctx{Arch: f.A, D: memio.New(f, memio.Config{})}, f
+}
+
+// TestValueSize pins the Value layout. Generators pass and yield Values by
+// value on every element, so the struct's size is the per-element copy
+// cost. amd64 Go copies structs over 64 bytes with DUFFCOPY, whose cost
+// grows with the size: the small fields share one word after Bytes to keep
+// the struct at 96 bytes instead of 120.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got > 96 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d bytes, want <= 96", got)
+	}
 }
 
 func TestMakeAndExtract(t *testing.T) {
