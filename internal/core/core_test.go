@@ -299,6 +299,14 @@ func TestDifferentialRandom(t *testing.T) {
 func listFake(t testing.TB) *fakedbg.Fake {
 	t.Helper()
 	f := newFake(t)
+	addList(t, f, 4, 10)
+	return f
+}
+
+// addList adds to f the type struct node {int value; struct node *next}
+// and a list head of n nodes whose values run first, first+1, ...
+func addList(t testing.TB, f *fakedbg.Fake, n, first int) {
+	t.Helper()
 	a := f.A
 	node := a.NewStruct("node", false)
 	if err := a.SetFields(node, []ctype.FieldSpec{
@@ -308,19 +316,21 @@ func listFake(t testing.TB) *fakedbg.Fake {
 		t.Fatal(err)
 	}
 	f.Structs["node"] = node
-	var prev uint64
-	head := f.MustVar("head", a.Ptr(node))
-	prev = head.Addr
-	for i := 0; i < 4; i++ {
+	next, _ := node.Field("next")
+	link := f.MustVar("head", a.Ptr(node)).Addr
+	for i := 0; i < n; i++ {
 		addr, err := f.AllocTargetSpace(node.Size(), node.Align())
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = f.PutTargetBytes(prev, value.MakePtr(a.Ptr(node), addr).Bytes)
-		_ = f.PutTargetBytes(addr, value.MakeInt(a.Int, int64(10+i)).Bytes)
-		prev = addr + 4
+		if err := f.PutTargetBytes(link, value.MakePtr(a.Ptr(node), addr).Bytes); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.PutTargetBytes(addr, value.MakeInt(a.Int, int64(first+i)).Bytes); err != nil {
+			t.Fatal(err)
+		}
+		link = addr + uint64(next.Off)
 	}
-	return f
 }
 
 // TestDifferentialDfsWith fuzzes expressions over the list structure so the
