@@ -282,7 +282,7 @@ func (s *Session) evalNodeLocked(ctx context.Context, n *ast.Node, f func(Result
 		}
 		sym := ""
 		if s.opts.ShowSymbolic {
-			sym = v.Sym.S
+			sym = s.Env.Ctx.Syms.String(v.Sym)
 		}
 		return f(Result{Sym: sym, Text: text, Value: v})
 	})

@@ -9,13 +9,18 @@ import (
 
 	"duel"
 	"duel/internal/core"
+	"duel/internal/faultdbg"
 )
 
 // FuzzEvalDifferential extends the parser fuzzer through the whole
 // evaluation pipeline: any input the parser accepts is executed on both the
 // production evaluator (push) and the paper-faithful reference (machine)
 // against identical debuggees, and the two must agree on the printed output
-// and the error, byte for byte. The one exception is the step limit: the
+// and the error, byte for byte. The input also chooses whether target
+// faults are contained as error values (Options.Eval.ErrorValues) and, when
+// faultSeed is non-zero, a seeded fault plan on the debuggee, so poisoned
+// output and fault messages are compared too: both drivers issue the same
+// target operations in the same order, so they meet the same faults. The one exception is the step limit: the
 // backends count steps differently (machine steps on every eval call,
 // NOVALUE returns included), so MaxSteps cuts them at different values, and
 // a run the limit cut short must have printed a prefix of the other run's
@@ -89,14 +94,32 @@ func FuzzEvalDifferential(f *testing.F) {
 		seeds = append(seeds, "x[..10] "+op+" 3")
 	}
 	for _, s := range seeds {
-		f.Add(s)
+		f.Add(s, false, uint8(0))
 	}
-	f.Fuzz(func(t *testing.T, src string) {
+	// Poison and fault shapes: error values through -->, with and
+	// arithmetic, faults in the middle of a list walk, a call and a scan.
+	for _, s := range []string{
+		"((int *) 16)[..3]-->next",
+		"((struct node *) 16)-->next->value",
+		"(((struct node *) 16), head)->value",
+		"head-->next->value",
+		"head-->next->(value ==? 7)",
+		"x[..10] >? 4",
+		"twice(x[2..5])",
+		"#/(head-->next)",
+	} {
+		f.Add(s, true, uint8(0))
+		for _, seed := range []uint8{1, 7} {
+			f.Add(s, true, seed)
+			f.Add(s, false, seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string, errorValues bool, faultSeed uint8) {
 		if len(src) > 512 {
 			return
 		}
-		pushOut, pushErr := fuzzExec(t, "push", src)
-		machineOut, machineErr := fuzzExec(t, "machine", src)
+		pushOut, pushErr := fuzzExec(t, "push", src, errorValues, faultSeed)
+		machineOut, machineErr := fuzzExec(t, "machine", src, errorValues, faultSeed)
 		pushCut, machineCut := stepLimited(pushErr), stepLimited(machineErr)
 		var agree bool
 		switch {
@@ -110,8 +133,8 @@ func FuzzEvalDifferential(f *testing.F) {
 			agree = pushOut == machineOut && fmt.Sprint(pushErr) == fmt.Sprint(machineErr)
 		}
 		if !agree {
-			t.Errorf("transcript diverged for %q:\n push:\n%s error: %v\n machine:\n%s error: %v",
-				src, indent(pushOut), pushErr, indent(machineOut), machineErr)
+			t.Errorf("transcript diverged for %q (ErrorValues %v, fault seed %d):\n push:\n%s error: %v\n machine:\n%s error: %v",
+				src, errorValues, faultSeed, indent(pushOut), pushErr, indent(machineOut), machineErr)
 		}
 	})
 }
@@ -129,8 +152,11 @@ func stepLimited(err error) bool {
 // addresses and transcripts are directly comparable. Safety
 // limits are tightened (and the wall-clock watchdog disabled — it would
 // make runs timing-dependent) so pathological inputs terminate by step
-// count, not by timeout.
-func fuzzExec(t *testing.T, backend, src string) (string, error) {
+// count, not by timeout. A non-zero faultSeed puts a seeded fault plan
+// between the session and the fixture: unmapped and short reads and failed
+// target calls, none of them timed, so the schedule depends only on the
+// sequence of operations.
+func fuzzExec(t *testing.T, backend, src string, errorValues bool, faultSeed uint8) (string, error) {
 	t.Helper()
 	opts := duel.DefaultOptions()
 	opts.Backend = backend
@@ -138,7 +164,19 @@ func fuzzExec(t *testing.T, backend, src string) (string, error) {
 	opts.Eval.MaxOpenRange = 4096
 	opts.Eval.MaxExpand = 4096
 	opts.Eval.Timeout = 0
-	ses, err := duel.NewSession(buildFakeDebuggee(t), opts)
+	opts.Eval.ErrorValues = errorValues
+	d := buildFakeDebuggee(t)
+	if faultSeed != 0 {
+		d = faultdbg.New(d, faultdbg.Plan{
+			Seed: int64(faultSeed),
+			Rates: map[faultdbg.Kind]float64{
+				faultdbg.Unmapped: 0.05,
+				faultdbg.Short:    0.02,
+				faultdbg.CallFail: 0.2,
+			},
+		})
+	}
+	ses, err := duel.NewSession(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func runBackend(t *testing.T, backendName, src string, opts core.Options) ([]str
 	}
 	var trace []string
 	everr := core.Eval(e, b, n, func(v value.Value) error {
-		trace = append(trace, fmt.Sprintf("%s | % x | %v | %v", v.Sym.S, v.Bytes, v.Type, v.Err))
+		trace = append(trace, fmt.Sprintf("%s | % x | %v | %v", e.Ctx.Syms.String(v.Sym), v.Bytes(), v.Type, v.Err()))
 		return nil
 	})
 	return trace, e.Counters(), everr

@@ -23,19 +23,19 @@ func newFake(t testing.TB) *fakedbg.Fake {
 	x := f.MustVar("x", a.ArrayOf(a.Int, 10))
 	for i := 0; i < 10; i++ {
 		b := value.MakeInt(a.Int, int64(10*i))
-		if err := f.PutTargetBytes(x.Addr+uint64(4*i), b.Bytes); err != nil {
+		if err := f.PutTargetBytes(x.Addr+uint64(4*i), b.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	f.MustVar("i", a.Int)
 	n := f.MustVar("n", a.Int)
-	_ = f.PutTargetBytes(n.Addr, value.MakeInt(a.Int, 10).Bytes)
+	_ = f.PutTargetBytes(n.Addr, value.MakeInt(a.Int, 10).Bytes())
 	// Function twice(k) = 2*k at a synthetic text address.
 	ft := a.FuncOf(a.Int, []ctype.Type{a.Int}, false)
 	f.Vars["twice"] = dbgif.VarInfo{Name: "twice", Type: ft, Addr: 0x9000}
 	f.Funcs[0x9000] = func(args []dbgif.Value) (dbgif.Value, error) {
-		v := value.MakeInt(a.Int, 2*value.Value{Type: args[0].Type, Bytes: args[0].Bytes}.AsInt())
-		return dbgif.Value{Type: v.Type, Bytes: v.Bytes}, nil
+		v := value.MakeInt(a.Int, 2*value.FromBytes(args[0].Type, args[0].Bytes).AsInt())
+		return dbgif.Value{Type: v.Type, Bytes: v.Bytes()}, nil
 	}
 	return f
 }
@@ -59,8 +59,8 @@ func evalStrings(t testing.TB, f *fakedbg.Fake, backend, src string) ([]string, 
 		if ferr != nil {
 			s = "<" + v.Type.String() + ">"
 		}
-		if v.Sym.S != "" && v.Sym.S != s {
-			s = v.Sym.S + " = " + s
+		if env.text(v.Sym) != "" && env.text(v.Sym) != s {
+			s = env.text(v.Sym) + " = " + s
 		}
 		out = append(out, s)
 		return nil
@@ -243,8 +243,8 @@ func TestFrameScopes(t *testing.T) {
 	a := f.A
 	addr0, _ := f.AllocTargetSpace(4, 4)
 	addr1, _ := f.AllocTargetSpace(4, 4)
-	_ = f.PutTargetBytes(addr0, value.MakeInt(a.Int, 11).Bytes)
-	_ = f.PutTargetBytes(addr1, value.MakeInt(a.Int, 22).Bytes)
+	_ = f.PutTargetBytes(addr0, value.MakeInt(a.Int, 11).Bytes())
+	_ = f.PutTargetBytes(addr1, value.MakeInt(a.Int, 22).Bytes())
 	f.Frames = [][]dbgif.VarInfo{
 		{{Name: "v", Type: a.Int, Addr: addr0}},
 		{{Name: "v", Type: a.Int, Addr: addr1}},
@@ -323,10 +323,10 @@ func addList(t testing.TB, f *fakedbg.Fake, n, first int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.PutTargetBytes(link, value.MakePtr(a.Ptr(node), addr).Bytes); err != nil {
+		if err := f.PutTargetBytes(link, value.MakePtr(a.Ptr(node), addr).Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.PutTargetBytes(addr, value.MakeInt(a.Int, int64(first+i)).Bytes); err != nil {
+		if err := f.PutTargetBytes(addr, value.MakeInt(a.Int, int64(first+i)).Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		link = addr + uint64(next.Off)
@@ -521,15 +521,15 @@ func TestDfsOverFakeList(t *testing.T) {
 		addrs[i] = addr
 	}
 	for i, addr := range addrs {
-		_ = f.PutTargetBytes(addr, value.MakeInt(a.Int, int64(100+i)).Bytes)
+		_ = f.PutTargetBytes(addr, value.MakeInt(a.Int, int64(100+i)).Bytes())
 		next := uint64(0)
 		if i+1 < len(addrs) {
 			next = addrs[i+1]
 		}
-		_ = f.PutTargetBytes(addr+4, value.MakePtr(a.Ptr(node), next).Bytes)
+		_ = f.PutTargetBytes(addr+4, value.MakePtr(a.Ptr(node), next).Bytes())
 	}
 	head := f.MustVar("head", a.Ptr(node))
-	_ = f.PutTargetBytes(head.Addr, value.MakePtr(a.Ptr(node), addrs[0]).Bytes)
+	_ = f.PutTargetBytes(head.Addr, value.MakePtr(a.Ptr(node), addrs[0]).Bytes())
 
 	for _, b := range BackendNames() {
 		got, err := evalStrings(t, f, b, "head-->next->value")
@@ -560,10 +560,10 @@ func TestCycleDetection(t *testing.T) {
 	f.Structs["node"] = node
 	n1, _ := f.AllocTargetSpace(node.Size(), node.Align())
 	n2, _ := f.AllocTargetSpace(node.Size(), node.Align())
-	_ = f.PutTargetBytes(n1+4, value.MakePtr(a.Ptr(node), n2).Bytes)
-	_ = f.PutTargetBytes(n2+4, value.MakePtr(a.Ptr(node), n1).Bytes) // cycle
+	_ = f.PutTargetBytes(n1+4, value.MakePtr(a.Ptr(node), n2).Bytes())
+	_ = f.PutTargetBytes(n2+4, value.MakePtr(a.Ptr(node), n1).Bytes()) // cycle
 	head := f.MustVar("chead", a.Ptr(node))
-	_ = f.PutTargetBytes(head.Addr, value.MakePtr(a.Ptr(node), n1).Bytes)
+	_ = f.PutTargetBytes(head.Addr, value.MakePtr(a.Ptr(node), n1).Bytes())
 
 	n, _ := parser.Parse("#/(chead-->next)", f)
 	// Faithful mode: must hit the expansion cap.
@@ -592,7 +592,7 @@ func TestCycleDetection(t *testing.T) {
 
 // TestSelfStepPathBounded: a --> step that yields the node itself ("_") has
 // the whole path as its step name, so each level would double the path's
-// symbolic text. The path stops at maxPathSym and the walk ends at the
+// symbolic text. The path stops at value.MaxPathSym and the walk ends at the
 // expansion cap, on every backend.
 func TestSelfStepPathBounded(t *testing.T) {
 	f := listFake(t)
@@ -608,15 +608,15 @@ func TestSelfStepPathBounded(t *testing.T) {
 		longest, values := 0, 0
 		err := b.Eval(env, n, func(v value.Value) error {
 			values++
-			longest = max(longest, len(v.Sym.S))
+			longest = max(longest, len(env.text(v.Sym)))
 			return nil
 		})
 		if err == nil || !strings.Contains(err.Error(), "exceeded 100 nodes") {
 			t.Errorf("[%s] err = %v, want the expansion cap", name, err)
 		}
-		if values != 100 || longest > 2*maxPathSym {
+		if values != 100 || longest > 2*value.MaxPathSym {
 			t.Errorf("[%s] %d values, longest path %d bytes; want 100 values within %d bytes",
-				name, values, longest, 2*maxPathSym)
+				name, values, longest, 2*value.MaxPathSym)
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -131,6 +130,8 @@ type Counters struct {
 	Values   int64 // values produced (all nodes)
 	MemReads int64 // lvalue loads
 
+	SymRenders int64 // symbolic texts rendered: printed values, error messages, aliases
+
 	TargetReads   int64 // GetTargetBytes requests the engine issued
 	TargetBytes   int64 // bytes those requests asked for
 	HostReads     int64 // round-trips that actually reached the host debugger
@@ -192,12 +193,12 @@ type Env struct {
 	strAddrs   map[*ast.Node]uint64 // interned string literals, per node
 	steps      int
 
-	// sym is the arena the symbolic helpers below compose derivation
-	// strings in: bulk scans pay one allocation per arena chunk instead of
-	// one garbage string per produced element (the dominant term of the
-	// warm re-eval profile once the serve locks are gone). It shares the
-	// Env's single-goroutine discipline.
-	sym value.SymArena
+	// syms records the derivations of the symbolic values of the current
+	// evaluation (Ctx.Syms points at it). It is reset when the outermost
+	// evaluation ends; evals counts the evaluations in flight, since a
+	// breakpoint condition can run nested inside a DUEL-driven target call.
+	syms  value.SymStore
+	evals int
 
 	// cancel is set by the Eval deadline watchdog (and cleared when the
 	// evaluation finishes); step checks it so every backend notices a
@@ -222,14 +223,15 @@ func NewEnv(d dbgif.Debugger, opts Options) *Env {
 			MaxPages: opts.MemCachePages,
 		})
 	}
-	return &Env{
-		Ctx:       &value.Ctx{Arch: d.Arch(), D: acc},
+	e := &Env{
 		Opts:      opts,
 		Mem:       acc,
 		aliases:   make(map[string]value.Value),
 		declAddrs: make(map[*ast.Node]uint64),
 		strAddrs:  make(map[*ast.Node]uint64),
 	}
+	e.Ctx = &value.Ctx{Arch: d.Arch(), D: acc, Syms: &e.syms}
+	return e
 }
 
 // Counters returns the evaluation counters with the memory-layer traffic of
@@ -249,6 +251,7 @@ func (e *Env) Counters() Counters {
 	c.Prefetches = s.Prefetches
 	c.PrefetchStripes = s.PrefetchStripes
 	c.PrefetchPages = s.PrefetchPages
+	c.SymRenders = e.syms.Renders
 	return c
 }
 
@@ -256,17 +259,31 @@ func (e *Env) Counters() Counters {
 // memory-layer traffic counters.
 func (e *Env) ResetCounters() {
 	e.Num = Counters{}
+	e.syms.Renders = 0
 	e.Mem.ResetStats()
 }
 
-// beginEval prepares per-command state.
+// beginEval prepares per-command state. Every call is paired with endEval.
 func (e *Env) beginEval() {
+	if e.evals == 0 {
+		e.syms.Reset()
+	}
+	e.evals++
 	e.steps = 0
 	e.withStack = e.withStack[:0]
 	if e.Opts.LookupCache {
 		e.varCache = make(map[string]dbgif.VarInfo)
 	} else {
 		e.varCache = nil
+	}
+}
+
+// endEval ends an evaluation begun by beginEval. The outermost one drops
+// its symbolic values, so an idle session holds no derivations.
+func (e *Env) endEval() {
+	e.evals--
+	if e.evals == 0 {
+		e.syms.Reset()
 	}
 }
 
@@ -292,10 +309,13 @@ func (e *Env) Alias(name string) (value.Value, bool) {
 }
 
 // SetAlias defines name as an alias for v (the paper's define / alias()).
+// The alias keeps v's symbolic value as rendered text, which outlives the
+// evaluation.
 func (e *Env) SetAlias(name string, v value.Value) {
 	if _, exists := e.aliases[name]; !exists {
 		e.aliasOrder = append(e.aliasOrder, name)
 	}
+	v.Sym = e.syms.Keep(name, v.Sym)
 	e.aliases[name] = v
 }
 
@@ -304,6 +324,7 @@ func (e *Env) ClearAliases() {
 	e.aliases = make(map[string]value.Value)
 	e.aliasOrder = nil
 	e.declAddrs = make(map[*ast.Node]uint64)
+	e.syms.DropKept()
 }
 
 // Aliases lists alias names in definition order.
@@ -326,14 +347,13 @@ func (e *Env) popWith()             { e.withStack = e.withStack[:len(e.withStack
 func (e *Env) fetch(name string) (value.Value, error) {
 	e.Num.Lookups++
 	if name == "_" {
-		for i := len(e.withStack) - 1; i >= 0; i-- {
-			w := e.withStack[i]
-			return w.orig, nil
+		if n := len(e.withStack); n > 0 {
+			return e.withStack[n-1].orig, nil
 		}
 		return value.Value{}, fmt.Errorf("duel: \"_\" used outside of a with scope ('.', '->', '-->', '@')")
 	}
 	for i := len(e.withStack) - 1; i >= 0; i-- {
-		w := e.withStack[i]
+		w := &e.withStack[i]
 		if w.badType != nil {
 			if _, ok := w.badType.Field(name); ok {
 				return e.badFieldRef(w, name)
@@ -387,13 +407,17 @@ func (e *Env) fetch(name string) (value.Value, error) {
 }
 
 // --- symbolic helpers (gated on Opts.Symbolic) ---
+//
+// Each helper records one O(1) derivation step in the Env's SymStore;
+// nothing is rendered until a value is printed or named in an error.
+// SymOps counts the compositions the helpers make.
 
 func (e *Env) atom(s string) value.Sym {
 	if !e.Opts.Symbolic {
 		return value.Sym{}
 	}
 	e.Num.SymOps++
-	return value.Atom(s)
+	return e.syms.Text(s)
 }
 
 func (e *Env) intAtom(i int64) value.Sym {
@@ -401,7 +425,7 @@ func (e *Env) intAtom(i int64) value.Sym {
 		return value.Sym{}
 	}
 	e.Num.SymOps++
-	return value.Atom(value.Itoa(i))
+	return e.syms.Int(i)
 }
 
 func (e *Env) binSym(a value.Sym, op string, b value.Sym, prec int) value.Sym {
@@ -409,7 +433,7 @@ func (e *Env) binSym(a value.Sym, op string, b value.Sym, prec int) value.Sym {
 		return value.Sym{}
 	}
 	e.Num.SymOps++
-	return e.sym.Binary(a, op, b, prec)
+	return e.syms.Binary(a, op, b, prec)
 }
 
 func (e *Env) preSym(op string, a value.Sym) value.Sym {
@@ -417,7 +441,7 @@ func (e *Env) preSym(op string, a value.Sym) value.Sym {
 		return value.Sym{}
 	}
 	e.Num.SymOps++
-	return e.sym.Pre(op, a)
+	return e.syms.Pre(op, a)
 }
 
 func (e *Env) postSym(a value.Sym, op string) value.Sym {
@@ -425,7 +449,7 @@ func (e *Env) postSym(a value.Sym, op string) value.Sym {
 		return value.Sym{}
 	}
 	e.Num.SymOps++
-	return e.sym.Post(a, op)
+	return e.syms.Post(a, op)
 }
 
 func (e *Env) indexSym(base value.Sym, idx value.Sym) value.Sym {
@@ -433,22 +457,22 @@ func (e *Env) indexSym(base value.Sym, idx value.Sym) value.Sym {
 		return value.Sym{}
 	}
 	e.Num.SymOps++
-	return e.sym.Index(base, idx)
+	return e.syms.Index(base, idx)
 }
 
 // withSym composes the symbolic value of a with expression: base->field or
-// base.field. If the inner value's symbolic equals the base's (it came from
-// "_"), it is passed through unchanged, so "x[..10].if (_ < 0) _" displays
-// as "x[3]", per the paper.
+// base.field. If the inner value's symbolic text equals the base's (it came
+// from "_", or names the same thing: "x[3].(x[3])"), it is passed through
+// unchanged, so "x[..10].if (_ < 0) _" displays as "x[3]", per the paper.
 func (e *Env) withSym(base value.Sym, op string, inner value.Sym) value.Sym {
 	if !e.Opts.Symbolic {
 		return value.Sym{}
 	}
-	if inner.S == base.S {
+	if e.syms.Equal(base, inner) {
 		return inner
 	}
 	e.Num.SymOps++
-	return e.sym.With(base, op, inner)
+	return e.syms.With(base, op, inner)
 }
 
 // groupSym handles the symbolic value of a parenthesized expression: it
@@ -457,55 +481,36 @@ func (e *Env) withSym(base value.Sym, op string, inner value.Sym) value.Sym {
 // ("6*8" stays "6*8"; "x+1" under * becomes "(x+1)*2").
 func (e *Env) groupSym(s value.Sym) value.Sym { return s }
 
-// maxPathSym bounds the symbolic text of one dfs/bfs path, in bytes.
-const maxPathSym = 4096
-
-// dfsSym renders a dfs/bfs path: root symbolic plus the step names, with
-// runs of three or more identical steps compressed to "-->step[[n]]" (the
-// paper compresses "->a->a" chains to "-->a[[2]]"; its own examples print
-// runs of up to three steps expanded, so the threshold here is three —
-// see EXPERIMENTS.md T1 notes).
-//
-// A path longer than maxPathSym ends in "->..." instead of its remaining
-// steps. A step that refers to the node itself ("head-->_") has the whole
-// path as its name, so without the bound each level would double the
-// path's length.
-func (e *Env) dfsSym(root value.Sym, steps []string) value.Sym {
+// pathRoot is the path of the root of a --> expansion.
+func (e *Env) pathRoot(root value.Sym) value.Sym {
 	if !e.Opts.Symbolic {
 		return value.Sym{}
 	}
-	e.Num.SymOps++
-	const compressAt = 3
-	var b strings.Builder
-	rs := root.At(value.PrecPostfix)
-	b.Grow(len(rs) + 8*len(steps))
-	b.WriteString(rs)
-	for i := 0; i < len(steps); {
-		j := i
-		for j < len(steps) && steps[j] == steps[i] {
-			j++
-		}
-		run := j - i
-		if b.Len()+len(steps[i]) > maxPathSym {
-			b.WriteString("->...")
-			break
-		}
-		if run >= compressAt {
-			b.WriteString("-->")
-			b.WriteString(steps[i])
-			b.WriteString("[[")
-			b.WriteString(strconv.Itoa(run))
-			b.WriteString("]]")
-		} else {
-			for k := 0; k < run; k++ {
-				b.WriteString("->")
-				b.WriteString(steps[i])
-			}
-		}
-		i = j
-	}
-	return value.Sym{S: b.String(), Prec: value.PrecPostfix}
+	return e.syms.PathRoot(root)
 }
+
+// pathStep is the path of a --> child: the path of the node it was reached
+// from plus the step expression's symbolic value. It is O(1), so a walk
+// costs the same per node at any depth (SymStore.Step compresses runs and
+// bounds the rendered text).
+func (e *Env) pathStep(parent, step value.Sym) value.Sym {
+	if !e.Opts.Symbolic {
+		return value.Sym{}
+	}
+	return e.syms.Step(parent, step)
+}
+
+// dfsSym counts the composition of a visited --> node's path, which
+// pathRoot or pathStep already recorded when the node was reached.
+func (e *Env) dfsSym(path value.Sym) value.Sym {
+	if e.Opts.Symbolic {
+		e.Num.SymOps++
+	}
+	return path
+}
+
+// text renders s, for error messages.
+func (e *Env) text(s value.Sym) string { return e.syms.String(s) }
 
 // --- storage helpers ---
 
@@ -590,22 +595,18 @@ func (e *Env) callResultSym(fv value.Value, args []value.Value) value.Sym {
 	if !e.Opts.Symbolic {
 		return value.Sym{}
 	}
-	parts := make([]string, len(args))
-	for i, a := range args {
-		parts[i] = a.Sym.S
-	}
-	s := e.atom(fv.Sym.At(value.PrecPostfix) + "(" + strings.Join(parts, ", ") + ")")
-	s.Prec = value.PrecPostfix
-	return s
+	e.Num.SymOps++
+	return e.syms.Call(fv.Sym, args)
 }
 
 // badFieldRef reports the resolution of a field behind a bad pointer: the
 // paper's symbolic error, or — under Options.ErrorValues — an error value
 // that poisons just this element.
-func (e *Env) badFieldRef(w withEntry, name string) (value.Value, error) {
+func (e *Env) badFieldRef(w *withEntry, name string) (value.Value, error) {
+	orig := e.text(w.orig.Sym)
 	err := &value.MemError{
-		Context: w.orig.Sym.S + "->" + name,
-		Sym:     w.orig.Sym.S,
+		Context: orig + "->" + name,
+		Sym:     orig,
 		Addr:    w.badAddr,
 		Err:     w.badErr,
 	}
@@ -636,7 +637,7 @@ func (e *Env) rval(v value.Value) (value.Value, error) {
 // contained fault of an error value instead of a size.
 func sizeofValue(u value.Value) (int, error) {
 	if u.IsPoison() {
-		return 0, u.Err
+		return 0, u.Err()
 	}
 	return ctype.Strip(u.Type).Size(), nil
 }
@@ -645,7 +646,7 @@ func sizeofValue(u value.Value) (int, error) {
 // error value (a reduction cannot produce a total with an element missing).
 func sumOperand(ru value.Value) error {
 	if ru.IsPoison() {
-		return ru.Err
+		return ru.Err()
 	}
 	return nil
 }
@@ -727,14 +728,14 @@ func (e *Env) makeWithEntry(u value.Value, arrow bool) (withEntry, error) {
 		if elem, ok := ctype.PointerElem(ctype.Strip(u.Type)); ok {
 			if est, isStruct := ctype.Strip(elem).(*ctype.Struct); isStruct {
 				entry.badType = est
-				entry.badErr = ru.Err
+				entry.badErr = ru.Err()
 			}
 		}
 		return entry, nil
 	}
 	entry.orig = ru.WithSym(u.Sym)
 	if !ctype.IsPointer(ru.Type) {
-		return withEntry{}, fmt.Errorf("duel: %s is not a pointer (%s); cannot apply ->", u.Sym.S, ru.Type)
+		return withEntry{}, fmt.Errorf("duel: %s is not a pointer (%s); cannot apply ->", e.text(u.Sym), ru.Type)
 	}
 	elem, _ := ctype.PointerElem(ru.Type)
 	est, isStruct := ctype.Strip(elem).(*ctype.Struct)
@@ -811,7 +812,7 @@ func (e *Env) directField(u value.Value, name string, arrow bool) (value.Value, 
 	}
 	if entry.badType != nil {
 		if _, ok := entry.badType.Field(name); ok {
-			return e.badFieldRef(entry, name)
+			return e.badFieldRef(&entry, name)
 		}
 	}
 	if entry.hasScope {
@@ -830,7 +831,7 @@ func (e *Env) directField(u value.Value, name string, arrow bool) (value.Value, 
 		f.Sym = e.atom(name)
 		return f, nil
 	}
-	return value.Value{}, fmt.Errorf("duel: %s has no member %q", u.Sym.S, name)
+	return value.Value{}, fmt.Errorf("duel: %s has no member %q", e.text(u.Sym), name)
 }
 
 // cDirectField reports whether the with node should use C field semantics.

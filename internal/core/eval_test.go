@@ -40,8 +40,8 @@ func evalEnv(t *testing.T, env *Env, backend, src string) ([]string, error) {
 		if ferr != nil {
 			return ferr
 		}
-		if v.Sym.S != "" && v.Sym.S != s {
-			s = v.Sym.S + " = " + s
+		if env.text(v.Sym) != "" && env.text(v.Sym) != s {
+			s = env.text(v.Sym) + " = " + s
 		}
 		out = append(out, s)
 		return nil

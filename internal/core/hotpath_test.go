@@ -11,8 +11,10 @@ import (
 )
 
 // allocFake is an LP64 debuggee with int x[1000] (values i%7-3, so three
-// in seven pass ">? 0") and a 1000-node list head of struct node {int
-// value; struct node *next}.
+// in seven pass ">? 0"), a 1000-node list head of struct node {int value;
+// struct node *next}, and a symbol-table-shaped struct sym *arr[256] whose
+// bucket i chains i%4 nodes of struct sym {int v; struct sym *next} with v
+// running 0, 1, 2, ... over all 384 nodes.
 func allocFake(t testing.TB) *fakedbg.Fake {
 	t.Helper()
 	const n = 1000
@@ -20,21 +22,52 @@ func allocFake(t testing.TB) *fakedbg.Fake {
 	a := f.A
 	x := f.MustVar("x", a.ArrayOf(a.Int, n))
 	for i := 0; i < n; i++ {
-		if err := f.PutTargetBytes(x.Addr+uint64(4*i), value.MakeInt(a.Int, int64(i%7-3)).Bytes); err != nil {
+		if err := f.PutTargetBytes(x.Addr+uint64(4*i), value.MakeInt(a.Int, int64(i%7-3)).Bytes()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	addList(t, f, n, 0)
+
+	sym := a.NewStruct("sym", false)
+	if err := a.SetFields(sym, []ctype.FieldSpec{
+		{Name: "v", Type: a.Int},
+		{Name: "next", Type: a.Ptr(sym)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	next, _ := sym.Field("next")
+	arr := f.MustVar("arr", a.ArrayOf(a.Ptr(sym), 256))
+	v := 0
+	for i := 0; i < 256; i++ {
+		link := arr.Addr + uint64(8*i)
+		for j := 0; j < i%4; j++ {
+			addr, err := f.AllocTargetSpace(sym.Size(), sym.Align())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.PutTargetBytes(link, value.MakePtr(a.Ptr(sym), addr).Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.PutTargetBytes(addr, value.MakeInt(a.Int, int64(v)).Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			v++
+			link = addr + uint64(next.Off)
+		}
+	}
 	return f
 }
 
 // TestPushAllocsPerElement pins the heap allocations of push's generator
-// hot path per element, so a closure that captures a whole Value again or
-// a per-left-value, per-scope or per-node inner callback (binary and
-// ?-operators, -> and -->) fails here. The bounds sit just above the
-// measured level (1.0 and 3.9; the scan's remaining allocation is mostly
-// the decimal text of the range index); before the capture rules the scan
-// took 2.0 allocations per element and the list walk 8.9.
+// hot path per element, so a closure that captures a whole Value again, a
+// per-left-value, per-scope or per-node inner callback (binary and
+// ?-operators, -> and -->), per-root --> state or per-element symbolic text
+// fails here. The bounds sit just above the measured level, which is the
+// fake debuggee's copy of the bytes each read returns: 1.0 per element for
+// the scan and the list walk and 1.9 for the table (the derivation store's
+// chunks add about 0.02). With symbolic text built per element the list
+// walk and the table each took 3.9; before the capture rules the scan took
+// 2.0 and the list walk 8.9.
 func TestPushAllocsPerElement(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts: skipped under -race")
@@ -45,7 +78,10 @@ func TestPushAllocsPerElement(t *testing.T) {
 		max   float64 // allocations per element
 	}{
 		{"x[..1000] >? 0", 1000, 1.1},
-		{"head-->next->value", 1000, 4.5},
+		{"head-->next->value", 1000, 1.1},
+		// The symtab-scan shape: 256 buckets, 384 chained nodes, two reads
+		// per node.
+		{"(arr[..256] !=? 0)-->next->v >? 380", 256 + 384, 2.1},
 	}
 	f := allocFake(t)
 	for _, c := range cases {
@@ -125,7 +161,7 @@ func TestConstOperandStepLimit(t *testing.T) {
 		opts.MaxSteps = 25
 		env := NewEnv(f, opts)
 		var got []string
-		err = (pushBackend{}).Eval(env, n, func(v value.Value) error { got = append(got, v.Sym.S); return nil })
+		err = (pushBackend{}).Eval(env, n, func(v value.Value) error { got = append(got, env.text(v.Sym)); return nil })
 		var se *StepLimitError
 		if !errors.As(err, &se) || se.Expr != "3" || len(got) != c.values {
 			t.Errorf("%s: values %v, error %v; want %d values, then the step limit at the constant 3", q, got, err, c.values)

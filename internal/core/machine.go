@@ -30,6 +30,7 @@ func (machineBackend) Name() string { return "machine" }
 // Eval implements Backend: the paper's top-level driver.
 func (machineBackend) Eval(e *Env, n *ast.Node, emit EmitFn) error {
 	e.beginEval()
+	defer e.endEval()
 	m := &machine{env: e, states: make(map[*ast.Node]*mstate)}
 	for {
 		v, ok, err := m.eval(n)
@@ -59,8 +60,9 @@ type mstate struct {
 	withMark int
 	pushed   bool
 
-	// dfs/bfs work list.
-	work []expandItem
+	// dfs/bfs work list (pointer rvalues whose symbolic values are their
+	// paths) and the children of the node being opened.
+	work, kids []value.Value
 
 	// select: collected indices, cache, and emit position.
 	idxs  []int64
@@ -603,7 +605,7 @@ func (m *machine) eval1(n *ast.Node) (value.Value, bool, error) {
 		for {
 			if st.state == 1 {
 				if st.i-st.hi >= int64(e.Opts.MaxOpenRange) {
-					return value.Value{}, false, fmt.Errorf("duel: unbounded generator %s.. exceeded %d values", st.val.Sym.S, e.Opts.MaxOpenRange)
+					return value.Value{}, false, fmt.Errorf("duel: unbounded generator %s.. exceeded %d values", e.text(st.val.Sym), e.Opts.MaxOpenRange)
 				}
 				v := st.i
 				st.i++
@@ -856,7 +858,7 @@ func (m *machine) evalAssign(n *ast.Node, st *mstate) (value.Value, bool, error)
 			return value.Value{}, false, nil
 		}
 		if !u.IsLvalue {
-			return value.Value{}, false, fmt.Errorf("duel: %s is not an lvalue", u.Sym.S)
+			return value.Value{}, false, fmt.Errorf("duel: %s is not an lvalue", e.text(u.Sym))
 		}
 		st.val = u
 		st.state = 1
@@ -948,7 +950,7 @@ func (m *machine) evalExpand(n *ast.Node, st *mstate) (value.Value, bool, error)
 			if len(st.work) == 0 {
 				st.state = 0
 			} else {
-				var it expandItem
+				var it value.Value
 				if bfs {
 					it = st.work[0]
 					st.work = st.work[1:]
@@ -958,11 +960,10 @@ func (m *machine) evalExpand(n *ast.Node, st *mstate) (value.Value, bool, error)
 				}
 				st.i++
 				if st.i > int64(e.Opts.MaxExpand) {
-					return value.Value{}, false, fmt.Errorf("duel: --> expansion of %s exceeded %d nodes (cycle? enable cycle detection)", st.val.Sym.S, e.Opts.MaxExpand)
+					return value.Value{}, false, fmt.Errorf("duel: --> expansion of %s exceeded %d nodes (cycle? enable cycle detection)", e.text(st.val.Sym), e.Opts.MaxExpand)
 				}
-				sym := e.dfsSym(st.val.Sym, it.steps)
-				cur := it.val.WithSym(sym)
-				kids, err := m.expandChildren(n, cur, it, sym)
+				cur := it.WithSym(e.dfsSym(it.Sym))
+				kids, err := m.expandChildren(n, st, cur)
 				if err != nil {
 					return value.Value{}, false, err
 				}
@@ -988,13 +989,13 @@ func (m *machine) evalExpand(n *ast.Node, st *mstate) (value.Value, bool, error)
 			return value.Value{}, false, err
 		}
 		if !ctype.IsPointer(ru.Type) {
-			return value.Value{}, false, fmt.Errorf("duel: %s is not a pointer (%s); cannot expand with -->", u.Sym.S, ru.Type)
+			return value.Value{}, false, fmt.Errorf("duel: %s is not a pointer (%s); cannot expand with -->", e.text(u.Sym), ru.Type)
 		}
 		st.val = u
 		st.i = 0
 		st.work = st.work[:0]
 		if e.validPointer(ru) {
-			st.work = append(st.work, expandItem{val: ru})
+			st.work = append(st.work, ru.WithSym(e.pathRoot(u.Sym)))
 		}
 		st.cache = nil
 		if e.Opts.CycleDetect {
@@ -1006,36 +1007,35 @@ func (m *machine) evalExpand(n *ast.Node, st *mstate) (value.Value, bool, error)
 }
 
 // expandChildren drains e2 under the node's scope, collecting valid pointer
-// children.
-func (m *machine) expandChildren(n *ast.Node, cur value.Value, it expandItem, sym value.Sym) ([]expandItem, error) {
+// children (into st.kids, reused from node to node).
+func (m *machine) expandChildren(n *ast.Node, st *mstate, cur value.Value) ([]value.Value, error) {
 	e := m.env
-	st := m.st(n)
 	sv, err := e.Ctx.Deref(cur)
 	if err != nil {
 		return nil, err
 	}
 	entry := withEntry{orig: cur}
 	if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
-		entry.scope = sv.WithSym(sym)
+		entry.scope = sv
 		entry.hasScope = true
 	}
 	e.pushWith(entry)
 	defer e.popWith()
-	var kids []expandItem
+	st.kids = st.kids[:0]
 	for {
 		w, ok, err := m.eval(n.Kids[1])
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return kids, nil
+			return st.kids, nil
 		}
 		rw, err := e.rval(w)
 		if err != nil {
 			return nil, err
 		}
 		if !ctype.IsPointer(rw.Type) {
-			return nil, fmt.Errorf("duel: --> step %s is not a pointer (%s)", w.Sym.S, rw.Type)
+			return nil, fmt.Errorf("duel: --> step %s is not a pointer (%s)", e.text(w.Sym), rw.Type)
 		}
 		if !e.validPointer(rw) {
 			continue
@@ -1047,10 +1047,7 @@ func (m *machine) expandChildren(n *ast.Node, cur value.Value, it expandItem, sy
 			}
 			st.cache[a] = value.Value{}
 		}
-		steps := make([]string, len(it.steps)+1)
-		copy(steps, it.steps)
-		steps[len(it.steps)] = w.Sym.S
-		kids = append(kids, expandItem{val: rw, steps: steps})
+		st.kids = append(st.kids, rw.WithSym(e.pathStep(cur.Sym, w.Sym)))
 	}
 }
 
@@ -1071,7 +1068,7 @@ func (m *machine) evalSelect(n *ast.Node, st *mstate) (value.Value, bool, error)
 				return value.Value{}, false, err
 			}
 			if !ctype.IsInteger(ctype.Strip(rv.Type)) {
-				return value.Value{}, false, fmt.Errorf("duel: [[...]] index %s is not an integer (%s)", v.Sym.S, rv.Type)
+				return value.Value{}, false, fmt.Errorf("duel: [[...]] index %s is not an integer (%s)", e.text(v.Sym), rv.Type)
 			}
 			i := rv.AsInt()
 			if i < 0 {
@@ -1297,7 +1294,7 @@ func (m *machine) evalCall(n *ast.Node, st *mstate) (value.Value, bool, error) {
 				sig, _ = ctype.Strip(pt.Elem).(*ctype.Func)
 			}
 			if sig == nil {
-				return value.Value{}, false, fmt.Errorf("duel: %s is not a function (%s)", fv.Sym.S, fv.Type)
+				return value.Value{}, false, fmt.Errorf("duel: %s is not a function (%s)", e.text(fv.Sym), fv.Type)
 			}
 			st.fv, st.sig, st.addr = fv, sig, rf.AsUint()
 			st.args = make([]value.Value, nargs)
@@ -1384,7 +1381,7 @@ func (m *machine) callOnce(st *mstate) (value.Value, bool, error) {
 	e := m.env
 	in := make([]dbgif.Value, len(st.args))
 	if len(st.args) < len(st.sig.Params) {
-		return value.Value{}, false, fmt.Errorf("duel: too few arguments in call to %s (%d < %d)", st.fv.Sym.S, len(st.args), len(st.sig.Params))
+		return value.Value{}, false, fmt.Errorf("duel: too few arguments in call to %s (%d < %d)", e.text(st.fv.Sym), len(st.args), len(st.sig.Params))
 	}
 	for i, a := range st.args {
 		conv := a
@@ -1395,7 +1392,7 @@ func (m *machine) callOnce(st *mstate) (value.Value, bool, error) {
 				return value.Value{}, false, err
 			}
 		}
-		in[i] = dbgif.Value{Type: conv.Type, Bytes: conv.Bytes}
+		in[i] = dbgif.Value{Type: conv.Type, Bytes: conv.Bytes()}
 	}
 	e.Num.Applies++
 	out, err := e.Ctx.D.CallTargetFunc(st.addr, in)
@@ -1403,12 +1400,12 @@ func (m *machine) callOnce(st *mstate) (value.Value, bool, error) {
 		if pv, ok := e.containCall(e.callResultSym(st.fv, st.args), err); ok {
 			return pv, true, nil
 		}
-		return value.Value{}, false, fmt.Errorf("duel: call to %s: %w", callSymName(st.fv.Sym.S), err)
+		return value.Value{}, false, fmt.Errorf("duel: call to %s: %w", callSymName(e.text(st.fv.Sym)), err)
 	}
 	if out.Type == nil || ctype.IsVoid(out.Type) {
 		return value.Value{}, false, nil
 	}
-	res := value.Value{Type: out.Type, Bytes: out.Bytes}
+	res := value.FromBytes(out.Type, out.Bytes)
 	res.Sym = e.callResultSym(st.fv, st.args)
 	return res, true, nil
 }

@@ -23,6 +23,7 @@ func (pushBackend) Name() string { return "push" }
 // Eval implements Backend.
 func (pushBackend) Eval(e *Env, n *ast.Node, emit EmitFn) error {
 	e.beginEval()
+	defer e.endEval()
 	err := e.evalPush(n, emit)
 	if errors.Is(err, errStop) {
 		return fmt.Errorf("duel: internal error: stop sentinel escaped evaluation")
@@ -329,7 +330,7 @@ func (e *Env) evalPush(n *ast.Node, yield EmitFn) error {
 			}
 			for i := lo; ; i++ {
 				if i-lo >= int64(e.Opts.MaxOpenRange) {
-					return fmt.Errorf("duel: unbounded generator %s.. exceeded %d values", u.Sym.S, e.Opts.MaxOpenRange)
+					return fmt.Errorf("duel: unbounded generator %s.. exceeded %d values", e.text(u.Sym), e.Opts.MaxOpenRange)
 				}
 				if err := e.step(n); err != nil {
 					return err
@@ -517,10 +518,10 @@ func (e *Env) rangeBound(u value.Value) (int64, error) {
 	if ru.IsPoison() {
 		// A range cannot proceed without its bound; the containment
 		// stops here and the fault aborts the (sub)expression.
-		return 0, ru.Err
+		return 0, ru.Err()
 	}
 	if !ctype.IsInteger(ctype.Strip(ru.Type)) {
-		return 0, fmt.Errorf("duel: range bound %s is not an integer (%s)", u.Sym.S, ru.Type)
+		return 0, fmt.Errorf("duel: range bound %s is not an integer (%s)", e.text(u.Sym), ru.Type)
 	}
 	return ru.AsInt(), nil
 }
@@ -628,7 +629,7 @@ func (e *Env) evalAssign(n *ast.Node, yield EmitFn) error {
 	base := compoundBase(n.Op)
 	return e.evalPush(n.Kids[0], func(u value.Value) error {
 		if !u.IsLvalue {
-			return fmt.Errorf("duel: %s is not an lvalue", u.Sym.S)
+			return fmt.Errorf("duel: %s is not an lvalue", e.text(u.Sym))
 		}
 		return e.evalPush(n.Kids[1], func(v value.Value) error {
 			rv, err := e.rval(v)
@@ -775,7 +776,7 @@ func (e *Env) evalSelect(n *ast.Node, yield EmitFn) error {
 			return err
 		}
 		if !ctype.IsInteger(ctype.Strip(rv.Type)) {
-			return fmt.Errorf("duel: [[...]] index %s is not an integer (%s)", v.Sym.S, rv.Type)
+			return fmt.Errorf("duel: [[...]] index %s is not an integer (%s)", e.text(v.Sym), rv.Type)
 		}
 		i := rv.AsInt()
 		if i < 0 {
@@ -825,67 +826,63 @@ func (e *Env) evalSelect(n *ast.Node, yield EmitFn) error {
 	return nil
 }
 
-// expandItem is one node awaiting a visit in a --> / -->> traversal.
-type expandItem struct {
-	val   value.Value // pointer rvalue
-	steps []string
-}
-
 // evalExpand implements e1-->e2 (depth-first, the paper's dfs with children
 // stacked in reverse) and e1-->>e2 (breadth-first, the paper's "other
 // orderings"). Null or invalid pointers terminate their branch; with
 // Opts.CycleDetect, already-visited nodes are skipped (extension — the
 // paper's implementation "does not handle cycles").
+//
+// A node awaiting its visit is its pointer rvalue, whose symbolic value is
+// its path: one derivation step from the path of the node it was reached
+// from, so a node costs the same at any depth. The work list, the child
+// buffer and the child callback serve every root of this evaluation.
 func (e *Env) evalExpand(n *ast.Node, yield EmitFn) error {
 	bfs := n.Op == ast.OpBfs
+	var (
+		visited map[uint64]bool
+		work    []value.Value
+		kids    []value.Value // children of cur, in e2's order
+		cur     value.Value   // the node being opened
+	)
+	addKid := func(w value.Value) error {
+		rw, err := e.rval(w)
+		if err != nil {
+			return err
+		}
+		if !ctype.IsPointer(rw.Type) {
+			return fmt.Errorf("duel: --> step %s is not a pointer (%s)", e.text(w.Sym), rw.Type)
+		}
+		if !e.validPointer(rw) {
+			return nil
+		}
+		if visited != nil {
+			a := rw.AsUint()
+			if visited[a] {
+				return nil
+			}
+			visited[a] = true
+		}
+		kids = append(kids, rw.WithSym(e.pathStep(cur.Sym, w.Sym)))
+		return nil
+	}
 	return e.evalPush(n.Kids[0], func(u value.Value) error {
 		ru, err := e.rval(u)
 		if err != nil {
 			return err
 		}
 		if !ctype.IsPointer(ru.Type) {
-			return fmt.Errorf("duel: %s is not a pointer (%s); cannot expand with -->", u.Sym.S, ru.Type)
+			return fmt.Errorf("duel: %s is not a pointer (%s); cannot expand with -->", e.text(u.Sym), ru.Type)
 		}
 		if !e.validPointer(ru) {
 			return nil // NULL or invalid root: empty expansion
 		}
-		var visited map[uint64]bool
 		if e.Opts.CycleDetect {
 			visited = map[uint64]bool{ru.AsUint(): true}
 		}
-		work := []expandItem{{val: ru}}
-		// One child callback serves every node of this expansion: steps is
-		// the path of the node being opened, and kids collects its
-		// children (reused from node to node).
-		var steps []string
-		var kids []expandItem
-		addKid := func(w value.Value) error {
-			rw, err := e.rval(w)
-			if err != nil {
-				return err
-			}
-			if !ctype.IsPointer(rw.Type) {
-				return fmt.Errorf("duel: --> step %s is not a pointer (%s)", w.Sym.S, rw.Type)
-			}
-			if !e.validPointer(rw) {
-				return nil
-			}
-			if visited != nil {
-				a := rw.AsUint()
-				if visited[a] {
-					return nil
-				}
-				visited[a] = true
-			}
-			path := make([]string, len(steps)+1)
-			copy(path, steps)
-			path[len(steps)] = w.Sym.S
-			kids = append(kids, expandItem{val: rw, steps: path})
-			return nil
-		}
+		work = append(work[:0], ru.WithSym(e.pathRoot(u.Sym)))
 		visits := 0
 		for len(work) > 0 {
-			var it expandItem
+			var it value.Value
 			if bfs {
 				it = work[0]
 				work = work[1:]
@@ -895,10 +892,9 @@ func (e *Env) evalExpand(n *ast.Node, yield EmitFn) error {
 			}
 			visits++
 			if visits > e.Opts.MaxExpand {
-				return fmt.Errorf("duel: --> expansion of %s exceeded %d nodes (cycle? enable cycle detection)", u.Sym.S, e.Opts.MaxExpand)
+				return fmt.Errorf("duel: --> expansion of %s exceeded %d nodes (cycle? enable cycle detection)", e.text(u.Sym), e.Opts.MaxExpand)
 			}
-			sym := e.dfsSym(u.Sym, it.steps)
-			cur := it.val.WithSym(sym)
+			cur = it.WithSym(e.dfsSym(it.Sym))
 			// Open *X and generate the children.
 			sv, err := e.Ctx.Deref(cur)
 			if err != nil {
@@ -906,11 +902,10 @@ func (e *Env) evalExpand(n *ast.Node, yield EmitFn) error {
 			}
 			entry := withEntry{orig: cur}
 			if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
-				entry.scope = sv.WithSym(sym)
+				entry.scope = sv
 				entry.hasScope = true
 			}
 			e.pushWith(entry)
-			steps = it.steps
 			kids = kids[:0]
 			kerr := e.evalPush(n.Kids[1], addKid)
 			e.popWith()
@@ -959,7 +954,7 @@ func (e *Env) evalCall(n *ast.Node, yield EmitFn) error {
 			sig, _ = ctype.Strip(ft.Elem).(*ctype.Func)
 		}
 		if sig == nil {
-			return fmt.Errorf("duel: %s is not a function (%s)", fv.Sym.S, fv.Type)
+			return fmt.Errorf("duel: %s is not a function (%s)", e.text(fv.Sym), fv.Type)
 		}
 		args := make([]value.Value, len(n.Kids)-1)
 		var rec func(i int) error
@@ -991,10 +986,10 @@ func (e *Env) callOnce(fv value.Value, sig *ctype.Func, addr uint64, args []valu
 				return err
 			}
 		}
-		in[i] = dbgif.Value{Type: conv.Type, Bytes: conv.Bytes}
+		in[i] = dbgif.Value{Type: conv.Type, Bytes: conv.Bytes()}
 	}
 	if len(args) < len(sig.Params) {
-		return fmt.Errorf("duel: too few arguments in call to %s (%d < %d)", fv.Sym.S, len(args), len(sig.Params))
+		return fmt.Errorf("duel: too few arguments in call to %s (%d < %d)", e.text(fv.Sym), len(args), len(sig.Params))
 	}
 	e.Num.Applies++
 	out, err := e.Ctx.D.CallTargetFunc(addr, in)
@@ -1002,12 +997,12 @@ func (e *Env) callOnce(fv value.Value, sig *ctype.Func, addr uint64, args []valu
 		if pv, ok := e.containCall(e.callResultSym(fv, args), err); ok {
 			return yield(pv)
 		}
-		return fmt.Errorf("duel: call to %s: %w", callSymName(fv.Sym.S), err)
+		return fmt.Errorf("duel: call to %s: %w", callSymName(e.text(fv.Sym)), err)
 	}
 	if out.Type == nil || ctype.IsVoid(out.Type) {
 		return nil
 	}
-	res := value.Value{Type: out.Type, Bytes: out.Bytes}
+	res := value.FromBytes(out.Type, out.Bytes)
 	res.Sym = e.callResultSym(fv, args)
 	return yield(res)
 }

@@ -27,13 +27,13 @@ func newStructFake(t testing.TB) *fakedbg.Fake {
 	}
 	f.Structs["pair"] = st
 	s := f.MustVar("s", st)
-	_ = f.PutTargetBytes(s.Addr, value.MakeInt(arch.Int, 10).Bytes)
-	_ = f.PutTargetBytes(s.Addr+4, value.MakeInt(arch.Int, 20).Bytes)
+	_ = f.PutTargetBytes(s.Addr, value.MakeInt(arch.Int, 10).Bytes())
+	_ = f.PutTargetBytes(s.Addr+4, value.MakeInt(arch.Int, 20).Bytes())
 	ga := f.MustVar("a", arch.Int)
-	_ = f.PutTargetBytes(ga.Addr, value.MakeInt(arch.Int, 999).Bytes)
+	_ = f.PutTargetBytes(ga.Addr, value.MakeInt(arch.Int, 999).Bytes())
 	f.MustVar("k", arch.Int)
 	sp := f.MustVar("sp", arch.Ptr(st))
-	_ = f.PutTargetBytes(sp.Addr, value.MakePtr(arch.Ptr(st), s.Addr).Bytes)
+	_ = f.PutTargetBytes(sp.Addr, value.MakePtr(arch.Ptr(st), s.Addr).Bytes())
 	return f
 }
 
@@ -234,8 +234,8 @@ func TestCScopingOption(t *testing.T) {
 			var out []string
 			if err := b.Eval(env, n, func(v value.Value) error {
 				s, _ := env.FormatScalar(v)
-				if v.Sym.S != "" && v.Sym.S != s {
-					s = v.Sym.S + " = " + s
+				if env.text(v.Sym) != "" && env.text(v.Sym) != s {
+					s = env.text(v.Sym) + " = " + s
 				}
 				out = append(out, s)
 				return nil
@@ -273,10 +273,10 @@ func TestCallCartesianProduct(t *testing.T) {
 		f.Vars["sum3"] = dbgif.VarInfo{Name: "sum3", Type: ft, Addr: 0x9100}
 		f.Funcs[0x9100] = func(args []dbgif.Value) (dbgif.Value, error) {
 			get := func(i int) int64 {
-				return value.Value{Type: args[i].Type, Bytes: args[i].Bytes}.AsInt()
+				return value.FromBytes(args[i].Type, args[i].Bytes).AsInt()
 			}
 			v := value.MakeInt(a.Int, 100*get(0)+10*get(1)+get(2))
-			return dbgif.Value{Type: v.Type, Bytes: v.Bytes}, nil
+			return dbgif.Value{Type: v.Type, Bytes: v.Bytes()}, nil
 		}
 		return f
 	}

@@ -42,10 +42,14 @@ func (p *Printer) Line(v value.Value) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if !p.Symbolic || v.Sym.S == "" || v.Sym.S == text {
+	if !p.Symbolic {
 		return text, nil
 	}
-	return v.Sym.S + " = " + text, nil
+	sym := p.Ctx.Syms.String(v.Sym)
+	if sym == "" || sym == text {
+		return text, nil
+	}
+	return sym + " = " + text, nil
 }
 
 // Format renders the value of v (loading lvalues from the target).
@@ -142,7 +146,7 @@ func (p *Printer) formatArray(v value.Value, t *ctype.Array, depth int) (string,
 		}
 		b, err := p.Ctx.D.GetTargetBytes(v.Addr, n)
 		if err != nil {
-			return "", &value.MemError{Sym: v.Sym.S, Addr: v.Addr, Err: err}
+			return "", &value.MemError{Sym: p.Ctx.Syms.String(v.Sym), Addr: v.Addr, Err: err}
 		}
 		if i := indexByte(b, 0); i >= 0 {
 			b = b[:i]

@@ -12,7 +12,7 @@ import (
 
 func newPrinter() (*Printer, *fakedbg.Fake) {
 	f := fakedbg.New(ctype.ILP32, 1<<16)
-	ctx := &value.Ctx{Arch: f.A, D: memio.New(f, memio.Config{})}
+	ctx := &value.Ctx{Arch: f.A, D: memio.New(f, memio.Config{}), Syms: &value.SymStore{}}
 	return New(ctx), f
 }
 
@@ -82,8 +82,8 @@ func TestAggregateFormatting(t *testing.T) {
 		ctype.FieldSpec{Name: "y", Type: a.Int},
 	)
 	vi := f.MustVar("p", s)
-	_ = f.PutTargetBytes(vi.Addr, value.MakeInt(a.Int, 1).Bytes)
-	_ = f.PutTargetBytes(vi.Addr+4, value.MakeInt(a.Int, 2).Bytes)
+	_ = f.PutTargetBytes(vi.Addr, value.MakeInt(a.Int, 1).Bytes())
+	_ = f.PutTargetBytes(vi.Addr+4, value.MakeInt(a.Int, 2).Bytes())
 	got, err := p.Format(value.Lvalue(s, vi.Addr))
 	if err != nil || got != "{x = 1, y = 2}" {
 		t.Errorf("struct = %q, %v", got, err)
@@ -91,7 +91,7 @@ func TestAggregateFormatting(t *testing.T) {
 
 	arr := f.MustVar("a3", a.ArrayOf(a.Int, 3))
 	for i := 0; i < 3; i++ {
-		_ = f.PutTargetBytes(arr.Addr+uint64(4*i), value.MakeInt(a.Int, int64(i+1)).Bytes)
+		_ = f.PutTargetBytes(arr.Addr+uint64(4*i), value.MakeInt(a.Int, int64(i+1)).Bytes())
 	}
 	got, _ = p.Format(value.Lvalue(arr.Type, arr.Addr))
 	if got != "{1, 2, 3}" {
@@ -131,19 +131,19 @@ func TestLineFormats(t *testing.T) {
 	p, f := newPrinter()
 	a := f.A
 	v := value.MakeInt(a.Int, 7)
-	v.Sym = value.Atom("x[3]")
+	v.Sym = p.Ctx.Syms.Text("x[3]")
 	line, err := p.Line(v)
 	if err != nil || line != "x[3] = 7" {
 		t.Errorf("Line = %q, %v", line, err)
 	}
 	// Pure constants print bare.
-	v.Sym = value.Atom("7")
+	v.Sym = p.Ctx.Syms.Text("7")
 	if line, _ = p.Line(v); line != "7" {
 		t.Errorf("constant Line = %q", line)
 	}
 	// Symbolic display off.
 	p.Symbolic = false
-	v.Sym = value.Atom("x[3]")
+	v.Sym = p.Ctx.Syms.Text("x[3]")
 	if line, _ = p.Line(v); line != "7" {
 		t.Errorf("non-symbolic Line = %q", line)
 	}
@@ -191,7 +191,7 @@ func TestUnionFormatting(t *testing.T) {
 		ctype.FieldSpec{Name: "c", Type: a.Char},
 	)
 	vi := f.MustVar("uv", u)
-	_ = f.PutTargetBytes(vi.Addr, value.MakeInt(a.Int, 65).Bytes)
+	_ = f.PutTargetBytes(vi.Addr, value.MakeInt(a.Int, 65).Bytes())
 	got, err := p.Format(value.Lvalue(u, vi.Addr))
 	if err != nil || got != "{i = 65, c = 'A'}" {
 		t.Errorf("union = %q, %v", got, err)

@@ -1,0 +1,79 @@
+package value
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestSymStorePaths checks --> path rendering: runs of three or more
+// identical steps compress, a new run starts a new "->" segment, a root
+// below postfix precedence is parenthesized, a root that is itself a path
+// starts a fresh run, and a path that would pass MaxPathSym ends in "->..."
+// for every descendant. Len must agree with the rendered text throughout.
+func TestSymStorePaths(t *testing.T) {
+	var st SymStore
+	walk := func(root Sym, steps ...string) Sym {
+		p := st.PathRoot(root)
+		for _, s := range steps {
+			p = st.Step(p, st.Text(s))
+		}
+		return p
+	}
+	head := st.Text("head")
+	cases := []struct {
+		path Sym
+		want string
+	}{
+		{walk(head), "head"},
+		{walk(head, "next", "next"), "head->next->next"},
+		{walk(head, "next", "next", "next"), "head-->next[[3]]"},
+		{walk(head, "l", "l", "l", "r", "l"), "head-->l[[3]]->r->l"},
+		{walk(st.Binary(st.Text("p"), "+", st.Int(1), PrecAdditive), "n"), "(p+1)->n"},
+		{walk(walk(head, "next", "next"), "next"), "head->next->next->next"},
+		{walk(st.Text(strings.Repeat("h", MaxPathSym-2)), "ab", "cd", "cd"), strings.Repeat("h", MaxPathSym-2) + "->ab->..."},
+	}
+	for _, c := range cases {
+		if got := st.String(c.path); got != c.want || st.length(c.path) != len(c.want) {
+			t.Errorf("path %q (length %d), want %q", got, st.length(c.path), c.want)
+		}
+	}
+	cut := walk(st.Text(strings.Repeat("h", MaxPathSym)), "a")
+	if st.Step(cut, st.Text("b")) != cut {
+		t.Error("a cut path's child is not the cut path")
+	}
+}
+
+// TestSymStoreEqual checks that equality is by rendered text, not handle.
+func TestSymStoreEqual(t *testing.T) {
+	var st SymStore
+	a := st.Index(st.Text("x"), st.Int(3))
+	b := st.Index(st.Text("x"), st.Text("3"))
+	c := st.Index(st.Text("x"), st.Int(2))
+	if !st.Equal(a, b) || st.Equal(a, c) || st.Equal(a, st.Text("x")) {
+		t.Errorf("Equal(x[3], x[3]) = %v, Equal(x[3], x[2]) = %v, Equal(x[3], x) = %v",
+			st.Equal(a, b), st.Equal(a, c), st.Equal(a, st.Text("x")))
+	}
+}
+
+// TestSymStoreReset checks what survives Reset: integers and kept texts do,
+// and any other handle panics instead of rendering another value's text.
+func TestSymStoreReset(t *testing.T) {
+	var st SymStore
+	i := st.Int(42)
+	x := st.Index(st.Text("x"), i)
+	kept := st.Keep("y", x)
+	st.Reset()
+	st.Index(st.Text("z"), st.Int(1)) // reuses x's slots
+	if got := st.String(i); got != "42" {
+		t.Errorf("integer after Reset = %q", got)
+	}
+	if got := st.String(kept); got != "x[42]" {
+		t.Errorf("kept text after Reset = %q", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("rendering a handle from an earlier evaluation did not panic")
+		}
+	}()
+	st.String(x)
+}

@@ -21,8 +21,8 @@ func (e *EvalError) Error() string {
 	return e.Msg
 }
 
-func evalErrf(v Value, format string, args ...any) error {
-	return &EvalError{Sym: v.Sym.S, Msg: fmt.Sprintf(format, args...)}
+func (c *Ctx) evalErrf(v Value, format string, args ...any) error {
+	return &EvalError{Sym: c.Syms.String(v.Sym), Msg: fmt.Sprintf(format, args...)}
 }
 
 // Binary applies a single-valued C binary operator to rvalues a and b
@@ -49,7 +49,7 @@ func (c *Ctx) Binary(op ast.Op, a, b Value) (Value, error) {
 		ast.OpIfLt, ast.OpIfGt, ast.OpIfLe, ast.OpIfGe, ast.OpIfEq, ast.OpIfNe:
 		return c.compare(op, a, b)
 	}
-	return Value{}, evalErrf(a, "unsupported binary operator %s", op)
+	return Value{}, c.evalErrf(a, "unsupported binary operator %s", op)
 }
 
 func (c *Ctx) add(a, b Value) (Value, error) {
@@ -112,7 +112,7 @@ func (c *Ctx) arith(op ast.Op, a, b Value) (Value, error) {
 			r = x * y
 		case ast.OpDivide:
 			if y == 0 {
-				return Value{}, evalErrf(b, "division by zero")
+				return Value{}, c.evalErrf(b, "division by zero")
 			}
 			r = x / y
 		}
@@ -137,7 +137,7 @@ func (c *Ctx) arith(op ast.Op, a, b Value) (Value, error) {
 		r = x * y
 	case ast.OpDivide:
 		if y == 0 {
-			return Value{}, evalErrf(b, "division by zero")
+			return Value{}, c.evalErrf(b, "division by zero")
 		}
 		if ctype.IsSigned(t) {
 			r = uint64(int64(signExt(x, t.Size())) / signExt(y, t.Size()))
@@ -152,7 +152,7 @@ func (c *Ctx) arith(op ast.Op, a, b Value) (Value, error) {
 func (c *Ctx) intBinary(op ast.Op, a, b Value) (Value, error) {
 	at, bt := ctype.Strip(a.Type), ctype.Strip(b.Type)
 	if !ctype.IsInteger(at) || !ctype.IsInteger(bt) {
-		return Value{}, evalErrf(a, "operator %s requires integer operands (%s, %s)", op.Symbol(), a.Type, b.Type)
+		return Value{}, c.evalErrf(a, "operator %s requires integer operands (%s, %s)", op.Symbol(), a.Type, b.Type)
 	}
 	t, err := c.UsualArith(a, b)
 	if err != nil {
@@ -165,7 +165,7 @@ func (c *Ctx) intBinary(op ast.Op, a, b Value) (Value, error) {
 	switch op {
 	case ast.OpModulo:
 		if y == 0 {
-			return Value{}, evalErrf(b, "division by zero")
+			return Value{}, c.evalErrf(b, "division by zero")
 		}
 		if ctype.IsSigned(t) {
 			r = uint64(signExt(x, t.Size()) % signExt(y, t.Size()))
@@ -185,13 +185,13 @@ func (c *Ctx) intBinary(op ast.Op, a, b Value) (Value, error) {
 func (c *Ctx) shift(op ast.Op, a, b Value) (Value, error) {
 	at, bt := ctype.Strip(a.Type), ctype.Strip(b.Type)
 	if !ctype.IsInteger(at) || !ctype.IsInteger(bt) {
-		return Value{}, evalErrf(a, "shift requires integer operands")
+		return Value{}, c.evalErrf(a, "shift requires integer operands")
 	}
 	t := c.Arch.Promote(at)
 	ca, _ := c.Convert(a, t)
 	n := b.AsInt()
 	if n < 0 || n >= int64(t.Size()*8) {
-		return Value{}, evalErrf(b, "shift count %d out of range for %s", n, t)
+		return Value{}, c.evalErrf(b, "shift count %d out of range for %s", n, t)
 	}
 	x := ca.AsUint()
 	var r uint64
@@ -259,7 +259,7 @@ func (c *Ctx) compare(op ast.Op, a, b Value) (Value, error) {
 			cmp = 1
 		}
 	default:
-		return Value{}, evalErrf(a, "cannot compare %s with %s", a.Type, b.Type)
+		return Value{}, c.evalErrf(a, "cannot compare %s with %s", a.Type, b.Type)
 	}
 	var truth bool
 	switch op {
@@ -291,7 +291,7 @@ func signExt(u uint64, size int) int64 {
 func (c *Ctx) UsualArith(a, b Value) (ctype.Type, error) {
 	t, err := c.Arch.UsualArith(a.Type, b.Type)
 	if err != nil {
-		return nil, evalErrf(a, "%v", err)
+		return nil, c.evalErrf(a, "%v", err)
 	}
 	return t, nil
 }
@@ -305,7 +305,7 @@ func (c *Ctx) Unary(op ast.Op, v Value) (Value, error) {
 	switch op {
 	case ast.OpNeg:
 		if !ctype.IsArithmetic(st) {
-			return Value{}, evalErrf(v, "unary - requires an arithmetic operand, not %s", v.Type)
+			return Value{}, c.evalErrf(v, "unary - requires an arithmetic operand, not %s", v.Type)
 		}
 		if ctype.IsFloat(st) {
 			return MakeFloat(st, -v.AsFloat()), nil
@@ -315,7 +315,7 @@ func (c *Ctx) Unary(op ast.Op, v Value) (Value, error) {
 		return MakeInt(t, -cv.AsInt()), nil
 	case ast.OpPos:
 		if !ctype.IsArithmetic(st) {
-			return Value{}, evalErrf(v, "unary + requires an arithmetic operand, not %s", v.Type)
+			return Value{}, c.evalErrf(v, "unary + requires an arithmetic operand, not %s", v.Type)
 		}
 		if ctype.IsFloat(st) {
 			return v, nil
@@ -324,7 +324,7 @@ func (c *Ctx) Unary(op ast.Op, v Value) (Value, error) {
 		return c.Convert(v, t)
 	case ast.OpBitNot:
 		if !ctype.IsInteger(st) {
-			return Value{}, evalErrf(v, "~ requires an integer operand, not %s", v.Type)
+			return Value{}, c.evalErrf(v, "~ requires an integer operand, not %s", v.Type)
 		}
 		t := c.Arch.Promote(st)
 		cv, _ := c.Convert(v, t)
@@ -339,7 +339,7 @@ func (c *Ctx) Unary(op ast.Op, v Value) (Value, error) {
 		}
 		return MakeInt(c.Arch.Int, 1), nil
 	}
-	return Value{}, evalErrf(v, "unsupported unary operator %s", op)
+	return Value{}, c.evalErrf(v, "unsupported unary operator %s", op)
 }
 
 // Deref dereferences pointer rvalue p, producing an lvalue of the pointee.
@@ -351,7 +351,7 @@ func (c *Ctx) Deref(p Value) (Value, error) {
 	st := ctype.Strip(p.Type)
 	pt, ok := st.(*ctype.Pointer)
 	if !ok {
-		return Value{}, evalErrf(p, "cannot dereference non-pointer type %s", p.Type)
+		return Value{}, c.evalErrf(p, "cannot dereference non-pointer type %s", p.Type)
 	}
 	addr := p.AsUint()
 	out := Lvalue(pt.Elem, addr)
@@ -371,15 +371,15 @@ func (c *Ctx) Index(base, idx Value) (Value, error) {
 		bt = it
 	}
 	if !ctype.IsPointer(bt) {
-		return Value{}, evalErrf(base, "cannot index type %s", base.Type)
+		return Value{}, c.evalErrf(base, "cannot index type %s", base.Type)
 	}
 	if !ctype.IsInteger(ctype.Strip(idx.Type)) {
-		return Value{}, evalErrf(idx, "array subscript is not an integer (%s)", idx.Type)
+		return Value{}, c.evalErrf(idx, "array subscript is not an integer (%s)", idx.Type)
 	}
 	elem, _ := ctype.PointerElem(bt)
 	size := int64(elem.Size())
 	if size == 0 {
-		return Value{}, evalErrf(base, "cannot index pointer to incomplete type %s", base.Type)
+		return Value{}, c.evalErrf(base, "cannot index pointer to incomplete type %s", base.Type)
 	}
 	addr := uint64(base.AsInt() + idx.AsInt()*size)
 	return Lvalue(elem, addr), nil
@@ -392,10 +392,10 @@ func (c *Ctx) AddrOf(v Value) (Value, error) {
 	}
 	st := ctype.Strip(v.Type)
 	if !v.IsLvalue {
-		return Value{}, typeErrf(v, "cannot take the address of an rvalue")
+		return Value{}, c.typeErrf(v, "cannot take the address of an rvalue")
 	}
 	if v.BitWidth > 0 {
-		return Value{}, typeErrf(v, "cannot take the address of a bitfield")
+		return Value{}, c.typeErrf(v, "cannot take the address of a bitfield")
 	}
 	return MakePtr(c.Arch.Ptr(st), v.Addr), nil
 }
@@ -409,14 +409,14 @@ func (c *Ctx) Field(v Value, name string) (Value, error) {
 	}
 	st, ok := ctype.Strip(v.Type).(*ctype.Struct)
 	if !ok {
-		return Value{}, evalErrf(v, "request for member %q in non-struct type %s", name, v.Type)
+		return Value{}, c.evalErrf(v, "request for member %q in non-struct type %s", name, v.Type)
 	}
 	if st.Incomplete {
-		return Value{}, evalErrf(v, "struct %s is incomplete", st.Tag)
+		return Value{}, c.evalErrf(v, "struct %s is incomplete", st.Tag)
 	}
 	f, ok := st.Field(name)
 	if !ok {
-		return Value{}, evalErrf(v, "%s has no member named %q", v.Type, name)
+		return Value{}, c.evalErrf(v, "%s has no member named %q", v.Type, name)
 	}
 	if v.IsLvalue {
 		out := Lvalue(f.Type, v.Addr+uint64(f.Off))
@@ -424,10 +424,11 @@ func (c *Ctx) Field(v Value, name string) (Value, error) {
 		return out, nil
 	}
 	size := ctype.Strip(f.Type).Size()
-	if f.Off+size > len(v.Bytes) {
-		return Value{}, evalErrf(v, "struct rvalue too short for member %q", name)
+	vb := v.Bytes()
+	if f.Off+size > len(vb) {
+		return Value{}, c.evalErrf(v, "struct rvalue too short for member %q", name)
 	}
-	b := v.Bytes[f.Off : f.Off+size]
+	b := vb[f.Off : f.Off+size]
 	if f.BitWidth > 0 {
 		u := mem.DecodeUint(b) >> uint(f.BitOff)
 		mask := uint64(1)<<uint(f.BitWidth) - 1
@@ -437,7 +438,7 @@ func (c *Ctx) Field(v Value, name string) (Value, error) {
 		}
 		b = mem.EncodeUint(u, size)
 	}
-	return Value{Type: f.Type, Bytes: b}, nil
+	return FromBytes(f.Type, b), nil
 }
 
 // HasField reports whether v is a struct/union with a member called name.

@@ -12,7 +12,7 @@ func TestConvertErrors(t *testing.T) {
 	c, f := newCtx()
 	a := c.Arch
 	s, _ := a.StructOf("s", ctype.FieldSpec{Name: "x", Type: a.Int})
-	sv := Value{Type: s, Bytes: make([]byte, s.Size())}
+	sv := FromBytes(s, make([]byte, s.Size()))
 	if _, err := c.Convert(sv, a.Int); err == nil {
 		t.Error("struct -> int accepted")
 	}
@@ -75,7 +75,7 @@ func TestComparisonMixes(t *testing.T) {
 	}
 	// Incomparable: struct operand.
 	s, _ := a.StructOf("sc", ctype.FieldSpec{Name: "x", Type: a.Int})
-	sv := Value{Type: s, Bytes: make([]byte, s.Size())}
+	sv := FromBytes(s, make([]byte, s.Size()))
 	if _, err := c.Binary(ast.OpEq, sv, MakeInt(a.Int, 0)); err == nil {
 		t.Error("struct comparison accepted")
 	}
@@ -181,15 +181,16 @@ func TestErrorStrings(t *testing.T) {
 }
 
 func TestSymAt(t *testing.T) {
-	s := Sym{S: "a+b", Prec: PrecAdditive}
-	if s.At(PrecMultip) != "(a+b)" {
-		t.Error("paren at higher min")
+	var st SymStore
+	s := st.Binary(st.Text("a"), "+", st.Text("b"), PrecAdditive)
+	if got := st.String(st.Pre("-", s)); got != "-(a+b)" {
+		t.Errorf("paren at higher min: %q", got)
 	}
-	if s.At(PrecAdditive) != "a+b" {
-		t.Error("no paren at equal min")
+	if got := st.String(st.Binary(s, "+", st.Text("c"), PrecAdditive)); got != "a+b+c" {
+		t.Errorf("no paren at equal min: %q", got)
 	}
-	if Atom("x").At(PrecPostfix) != "x" {
-		t.Error("atom never parenthesized")
+	if got := st.String(st.Index(st.Text("x"), st.Int(3))); got != "x[3]" {
+		t.Errorf("atom never parenthesized: %q", got)
 	}
 }
 
@@ -200,7 +201,7 @@ func TestStructRvalueFieldBounds(t *testing.T) {
 		ctype.FieldSpec{Name: "x", Type: a.Int},
 		ctype.FieldSpec{Name: "y", Type: a.Int},
 	)
-	short := Value{Type: s, Bytes: make([]byte, 4)} // truncated rvalue
+	short := FromBytes(s, make([]byte, 4)) // truncated rvalue
 	if _, err := c.Field(short, "y"); err == nil {
 		t.Error("out-of-bounds rvalue field accepted")
 	}

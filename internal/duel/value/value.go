@@ -12,6 +12,8 @@ package value
 import (
 	"errors"
 	"fmt"
+	"math"
+	"unsafe"
 
 	"duel/internal/ctype"
 	"duel/internal/dbgif"
@@ -42,75 +44,58 @@ const (
 	PrecAtom     = 100
 )
 
-// Sym is a symbolic expression: the derivation string of a value plus the
-// precedence of its outermost operator, so that later compositions can add
-// parentheses exactly when needed.
-type Sym struct {
-	S    string
-	Prec int
-}
-
-// Atom returns a leaf symbolic value.
-func Atom(s string) Sym { return Sym{S: s, Prec: PrecAtom} }
-
-// At returns the symbolic string parenthesized if its precedence is below
-// min.
-func (s Sym) At(min int) string {
-	if s.Prec < min {
-		return "(" + s.S + ")"
-	}
-	return s.S
-}
-
-// Binary composes a binary symbolic expression at precedence prec
-// (left-associative: the right operand needs parens at equal precedence).
-func BinarySym(a Sym, op string, b Sym, prec int) Sym {
-	return Sym{S: a.At(prec) + op + b.At(prec+1), Prec: prec}
-}
-
 // Value is a DUEL value: a C type, an actual value (an rvalue's bytes in
 // target representation, or an lvalue's target address, possibly a
 // bitfield), and a symbolic value recording its derivation.
 //
 // The struct is passed and yielded by value on every generator step, so
-// its size is the per-element copy cost: the small fields share the one
-// word after Bytes (TestValueSize pins the total at 96 bytes).
+// its size is the per-element copy cost. amd64 Go copies structs over 64
+// bytes with DUFFCOPY; the layout is 56 bytes and TestValueSize keeps it at
+// 64 or less. An lvalue address and a scalar rvalue never coexist, so they
+// share the Addr word.
 type Value struct {
 	Type ctype.Type
 
-	// Lvalue state: the target address (IsLvalue and the bitfield
-	// position are in the packed word below).
+	// Addr is an lvalue's target address. An rvalue of at most 8 bytes
+	// keeps its bytes here instead (little-endian, zero-extended), and a
+	// larger rvalue the length of its out-of-line bytes.
 	Addr uint64
 
-	// Rvalue state (when !IsLvalue): little-endian target bytes.
-	Bytes []byte
+	ext *byte  // a larger rvalue's bytes, Addr of them
+	err *error // see Err
+
+	Sym Sym
 
 	IsLvalue bool
-	BitOff   int8 // bitfield position within the addressed unit (< 64)
-	BitWidth int8 // 0 = not a bitfield; at most 64 (ctype checks the width)
+	BitOff   int8  // bitfield position within the addressed unit (< 64)
+	BitWidth int8  // 0 = not a bitfield; at most 64 (ctype checks the width)
+	size     uint8 // byte count of an inline rvalue (<= 8)
 
 	// FrameScope marks the special value produced by frame(i): a scope
 	// handle whose fields are the frame's locals (extension). It is
 	// bounded by the debugger's NumFrames.
 	FrameScope int32 // frame level + 1; 0 = not a frame scope
-
-	// Err marks an error value (Options.Eval.ErrorValues containment, an
-	// extension): the element could not be produced because of a target
-	// fault, and Err says why. Sym still carries the derivation, so the
-	// display layer can print the paper-style symbolic diagnosis
-	// ("x[3]->p: unmapped address 0x16820") while the enclosing generator
-	// keeps enumerating. Error values poison operators: any operation on
-	// one yields it unchanged.
-	Err error
-
-	Sym Sym
 }
 
-// Poison returns an error value carrying sym's derivation and err.
-func Poison(sym Sym, err error) Value { return Value{Sym: sym, Err: err} }
+// Poison returns an error value carrying sym's derivation and err
+// (Options.Eval.ErrorValues containment, an extension): the element could
+// not be produced because of a target fault, and err says why. The
+// derivation lets the display layer print the paper-style symbolic
+// diagnosis ("x[3]->p: unmapped address 0x16820") while the enclosing
+// generator keeps enumerating. Error values poison operators: any
+// operation on one yields it unchanged.
+func Poison(sym Sym, err error) Value { return Value{Sym: sym, err: &err} }
+
+// Err returns the fault of an error value, nil for any other value.
+func (v Value) Err() error {
+	if v.err == nil {
+		return nil
+	}
+	return *v.err
+}
 
 // IsPoison reports whether v is an error value.
-func (v Value) IsPoison() bool { return v.Err != nil }
+func (v Value) IsPoison() bool { return v.err != nil }
 
 // PoisonOf returns the first error value among vs, if any.
 func PoisonOf(vs ...Value) (Value, bool) {
@@ -125,14 +110,15 @@ func PoisonOf(vs ...Value) (Value, bool) {
 // ErrText returns the concise diagnosis of an error value, e.g.
 // "unmapped address 0x16820" or "transient fault at 0x1000".
 func (v Value) ErrText() string {
-	if v.Err == nil {
+	err := v.Err()
+	if err == nil {
 		return ""
 	}
-	if errors.Is(v.Err, dbgif.ErrReadOnlyTarget) {
+	if errors.Is(err, dbgif.ErrReadOnlyTarget) {
 		return "read-only target"
 	}
 	var f *memio.Fault
-	if errors.As(v.Err, &f) {
+	if errors.As(err, &f) {
 		switch f.Kind {
 		case memio.KindUnmapped:
 			return fmt.Sprintf("unmapped address 0x%x", f.Addr)
@@ -144,12 +130,12 @@ func (v Value) ErrText() string {
 		return f.Error()
 	}
 	var me *MemError
-	if errors.As(v.Err, &me) {
+	if errors.As(err, &me) {
 		// An illegal reference with no underlying typed fault: a null or
 		// garbage pointer (the paper's 0x16820 case).
 		return fmt.Sprintf("unmapped address 0x%x", me.Addr)
 	}
-	return v.Err.Error()
+	return err.Error()
 }
 
 // WithSym returns a copy of v carrying the given symbolic value.
@@ -158,14 +144,38 @@ func (v Value) WithSym(s Sym) Value {
 	return v
 }
 
-// Ctx carries what the value engine needs: the target's data model and the
-// memory accessor over the debugger interface. Routing D through
+// Bytes returns an rvalue's bytes in target representation (nil for an
+// lvalue). The result may be shared: callers must not modify it.
+func (v Value) Bytes() []byte {
+	switch {
+	case v.IsLvalue:
+		return nil
+	case v.ext != nil:
+		return unsafe.Slice(v.ext, v.Addr)
+	case v.size == 0:
+		return nil
+	}
+	return mem.EncodeUint(v.Addr, int(v.size))
+}
+
+// FromBytes returns an rvalue of type t holding b, which it may keep.
+func FromBytes(t ctype.Type, b []byte) Value {
+	if len(b) <= 8 {
+		return Value{Type: t, Addr: mem.DecodeUint(b), size: uint8(len(b))}
+	}
+	return Value{Type: t, Addr: uint64(len(b)), ext: unsafe.SliceData(b)}
+}
+
+// Ctx carries what the value engine needs: the target's data model, the
+// memory accessor over the debugger interface, and the store the symbolic
+// values of the current evaluation live in. Routing D through
 // *memio.Accessor (rather than a raw dbgif.Debugger) is what guarantees that
 // every target read and write of the engine is cached, counted and
 // fault-typed in one place.
 type Ctx struct {
 	Arch *ctype.Arch
 	D    *memio.Accessor
+	Syms *SymStore
 }
 
 // MemError reports an invalid target access, carrying the offending
@@ -188,6 +198,11 @@ func (e *MemError) Error() string {
 
 func (e *MemError) Unwrap() error { return e.Err }
 
+// memErr reports a faulting access to v's storage.
+func (c *Ctx) memErr(v Value, err error) error {
+	return &MemError{Sym: c.Syms.String(v.Sym), Addr: v.Addr, Err: err}
+}
+
 // TypeError reports a type mismatch, with the symbolic value of the
 // offending operand.
 type TypeError struct {
@@ -202,26 +217,39 @@ func (e *TypeError) Error() string {
 	return "type error: " + e.Msg
 }
 
-func typeErrf(v Value, format string, args ...any) error {
-	return &TypeError{Sym: v.Sym.S, Msg: fmt.Sprintf(format, args...)}
+func (c *Ctx) typeErrf(v Value, format string, args ...any) error {
+	return &TypeError{Sym: c.Syms.String(v.Sym), Msg: fmt.Sprintf(format, args...)}
 }
 
 // --- constructors ---
 
 // MakeInt returns an rvalue of integer (or pointer-sized) type t holding v.
 func MakeInt(t ctype.Type, v int64) Value {
-	return Value{Type: t, Bytes: mem.EncodeUint(uint64(v), ctype.Strip(t).Size())}
+	size := ctype.Strip(t).Size()
+	if size > 8 {
+		return FromBytes(t, mem.EncodeUint(uint64(v), size))
+	}
+	u := uint64(v)
+	if size < 8 {
+		u &= 1<<(8*uint(size)) - 1
+	}
+	return Value{Type: t, Addr: u, size: uint8(size)}
 }
 
 // MakeFloat returns an rvalue of floating type t holding v.
 func MakeFloat(t ctype.Type, v float64) Value {
-	return Value{Type: t, Bytes: mem.EncodeFloat(v, ctype.Strip(t).Size())}
+	switch size := ctype.Strip(t).Size(); size {
+	case 4:
+		return Value{Type: t, Addr: uint64(math.Float32bits(float32(v))), size: 4}
+	case 8:
+		return Value{Type: t, Addr: math.Float64bits(v), size: 8}
+	default:
+		return FromBytes(t, mem.EncodeFloat(v, size))
+	}
 }
 
 // MakePtr returns an rvalue pointer of type t to addr.
-func MakePtr(t ctype.Type, addr uint64) Value {
-	return Value{Type: t, Bytes: mem.EncodeUint(addr, ctype.Strip(t).Size())}
-}
+func MakePtr(t ctype.Type, addr uint64) Value { return MakeInt(t, int64(addr)) }
 
 // Lvalue returns an lvalue of type t at addr.
 func Lvalue(t ctype.Type, addr uint64) Value {
@@ -235,33 +263,60 @@ func Lvalue(t ctype.Type, addr uint64) Value {
 func (v Value) AsInt() int64 {
 	st := ctype.Strip(v.Type)
 	if ctype.IsSigned(st) {
-		return mem.DecodeInt(v.Bytes)
+		if v.ext != nil {
+			return mem.DecodeInt(v.Bytes())
+		}
+		return signExt(v.Addr, int(v.size))
 	}
-	return int64(mem.DecodeUint(v.Bytes))
+	return int64(v.AsUint())
 }
 
 // AsUint returns the value as an unsigned integer.
-func (v Value) AsUint() uint64 { return mem.DecodeUint(v.Bytes) }
+func (v Value) AsUint() uint64 {
+	if v.ext != nil {
+		return mem.DecodeUint(v.Bytes())
+	}
+	if v.IsLvalue {
+		return 0
+	}
+	return v.Addr
+}
+
+// floatBits decodes a floating rvalue of 4 or 8 bytes.
+func (v Value) floatBits() float64 {
+	if v.ext == nil {
+		switch v.size {
+		case 4:
+			return float64(math.Float32frombits(uint32(v.Addr)))
+		case 8:
+			return math.Float64frombits(v.Addr)
+		}
+	}
+	return mem.DecodeFloat(v.Bytes())
+}
 
 // AsFloat returns the value as a float; integers are converted.
 func (v Value) AsFloat() float64 {
 	st := ctype.Strip(v.Type)
 	if ctype.IsFloat(st) {
-		return mem.DecodeFloat(v.Bytes)
+		return v.floatBits()
 	}
 	if ctype.IsSigned(st) {
-		return float64(mem.DecodeInt(v.Bytes))
+		return float64(v.AsInt())
 	}
-	return float64(mem.DecodeUint(v.Bytes))
+	return float64(v.AsUint())
 }
 
 // IsZero reports whether a scalar rvalue is zero.
 func (v Value) IsZero() bool {
 	st := ctype.Strip(v.Type)
 	if ctype.IsFloat(st) {
-		return mem.DecodeFloat(v.Bytes) == 0
+		return v.floatBits() == 0
 	}
-	for _, b := range v.Bytes {
+	if v.ext == nil {
+		return v.AsUint() == 0
+	}
+	for _, b := range v.Bytes() {
 		if b != 0 {
 			return false
 		}
@@ -281,7 +336,7 @@ func (c *Ctx) Rval(v Value) (Value, error) {
 	st := ctype.Strip(v.Type)
 	if a, ok := st.(*ctype.Array); ok {
 		if !v.IsLvalue {
-			return Value{}, typeErrf(v, "array rvalue cannot decay")
+			return Value{}, c.typeErrf(v, "array rvalue cannot decay")
 		}
 		out := MakePtr(c.Arch.Ptr(a.Elem), v.Addr)
 		out.Sym = v.Sym
@@ -298,7 +353,7 @@ func (c *Ctx) Rval(v Value) (Value, error) {
 	size := st.Size()
 	b, err := c.D.GetTargetBytes(v.Addr, size)
 	if err != nil {
-		return Value{}, &MemError{Sym: v.Sym.S, Addr: v.Addr, Err: err}
+		return Value{}, c.memErr(v, err)
 	}
 	if v.BitWidth > 0 {
 		u := mem.DecodeUint(b)
@@ -310,7 +365,8 @@ func (c *Ctx) Rval(v Value) (Value, error) {
 		}
 		b = mem.EncodeUint(u, size)
 	}
-	out := Value{Type: v.Type, Bytes: b, Sym: v.Sym}
+	out := FromBytes(v.Type, b)
+	out.Sym = v.Sym
 	return out, nil
 }
 
@@ -318,10 +374,10 @@ func (c *Ctx) Rval(v Value) (Value, error) {
 // handling bitfields with read-modify-write.
 func (c *Ctx) Store(dst, src Value) error {
 	if p, ok := PoisonOf(dst, src); ok {
-		return p.Err
+		return p.Err()
 	}
 	if !dst.IsLvalue {
-		return typeErrf(dst, "not an lvalue")
+		return c.typeErrf(dst, "not an lvalue")
 	}
 	st := ctype.Strip(dst.Type)
 	conv, err := c.Convert(src, dst.Type)
@@ -332,18 +388,18 @@ func (c *Ctx) Store(dst, src Value) error {
 		size := st.Size()
 		cur, err := c.D.GetTargetBytes(dst.Addr, size)
 		if err != nil {
-			return &MemError{Sym: dst.Sym.S, Addr: dst.Addr, Err: err}
+			return c.memErr(dst, err)
 		}
 		u := mem.DecodeUint(cur)
 		mask := (uint64(1)<<uint(dst.BitWidth) - 1) << uint(dst.BitOff)
 		u = u&^mask | (conv.AsUint()<<uint(dst.BitOff))&mask
 		if err := c.D.PutTargetBytes(dst.Addr, mem.EncodeUint(u, size)); err != nil {
-			return &MemError{Sym: dst.Sym.S, Addr: dst.Addr, Err: err}
+			return c.memErr(dst, err)
 		}
 		return nil
 	}
-	if err := c.D.PutTargetBytes(dst.Addr, conv.Bytes); err != nil {
-		return &MemError{Sym: dst.Sym.S, Addr: dst.Addr, Err: err}
+	if err := c.D.PutTargetBytes(dst.Addr, conv.Bytes()); err != nil {
+		return c.memErr(dst, err)
 	}
 	return nil
 }
@@ -368,34 +424,36 @@ func (c *Ctx) Convert(v Value, t ctype.Type) (Value, error) {
 		var u uint64
 		switch {
 		case ctype.IsFloat(from):
-			u = uint64(int64(mem.DecodeFloat(v.Bytes)))
+			u = uint64(int64(v.floatBits()))
 		case ctype.IsInteger(from), from.Kind() == ctype.KindPointer:
 			if ctype.IsSigned(from) {
-				u = uint64(mem.DecodeInt(v.Bytes))
+				u = uint64(v.AsInt())
 			} else {
-				u = mem.DecodeUint(v.Bytes)
+				u = v.AsUint()
 			}
 		case from.Kind() == ctype.KindFunc:
-			u = mem.DecodeUint(v.Bytes)
+			u = v.AsUint()
 		default:
-			return Value{}, typeErrf(v, "cannot convert %s to %s", v.Type, t)
+			return Value{}, c.typeErrf(v, "cannot convert %s to %s", v.Type, t)
 		}
-		out := Value{Type: t, Bytes: mem.EncodeUint(u, to.Size()), Sym: v.Sym}
+		out := MakeInt(t, int64(u))
+		out.Sym = v.Sym
 		return out, nil
 	case ctype.IsFloat(to):
 		if !ctype.IsArithmetic(from) {
-			return Value{}, typeErrf(v, "cannot convert %s to %s", v.Type, t)
+			return Value{}, c.typeErrf(v, "cannot convert %s to %s", v.Type, t)
 		}
-		out := Value{Type: t, Bytes: mem.EncodeFloat(v.AsFloat(), to.Size()), Sym: v.Sym}
+		out := MakeFloat(t, v.AsFloat())
+		out.Sym = v.Sym
 		return out, nil
 	case to.Kind() == ctype.KindVoid:
-		return Value{Type: t, Bytes: nil, Sym: v.Sym}, nil
+		return Value{Type: t, Sym: v.Sym}, nil
 	case (to.Kind() == ctype.KindStruct || to.Kind() == ctype.KindUnion) && from == to:
 		out := v
 		out.Type = t
 		return out, nil
 	}
-	return Value{}, typeErrf(v, "cannot convert %s to %s", v.Type, t)
+	return Value{}, c.typeErrf(v, "cannot convert %s to %s", v.Type, t)
 }
 
 // Truth reports whether scalar rvalue v is non-zero, giving C's truth test.
@@ -405,7 +463,7 @@ func (c *Ctx) Truth(v Value) (bool, error) {
 	}
 	st := ctype.Strip(v.Type)
 	if !ctype.IsScalar(st) {
-		return false, typeErrf(v, "%s is not a scalar", v.Type)
+		return false, c.typeErrf(v, "%s is not a scalar", v.Type)
 	}
 	return !v.IsZero(), nil
 }

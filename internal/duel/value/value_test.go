@@ -15,17 +15,20 @@ import (
 
 func newCtx() (*Ctx, *fakedbg.Fake) {
 	f := fakedbg.New(ctype.ILP32, 1<<16)
-	return &Ctx{Arch: f.A, D: memio.New(f, memio.Config{})}, f
+	return &Ctx{Arch: f.A, D: memio.New(f, memio.Config{}), Syms: &SymStore{}}, f
 }
 
 // TestValueSize pins the Value layout. Generators pass and yield Values by
 // value on every element, so the struct's size is the per-element copy
-// cost. amd64 Go copies structs over 64 bytes with DUFFCOPY, whose cost
-// grows with the size: the small fields share one word after Bytes to keep
-// the struct at 96 bytes instead of 120.
+// cost. amd64 Go copies structs over 64 bytes with DUFFCOPY: an 8-byte Sym
+// handle, a one-pointer Err and scalar rvalues in the Addr word keep the
+// struct at 56 bytes (it was 96).
 func TestValueSize(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got > 96 {
-		t.Errorf("unsafe.Sizeof(Value{}) = %d bytes, want <= 96", got)
+	if got := unsafe.Sizeof(Value{}); got > 64 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d bytes, want <= 64", got)
+	}
+	if got := unsafe.Sizeof(Sym{}); got != 8 {
+		t.Errorf("unsafe.Sizeof(Sym{}) = %d bytes, want 8", got)
 	}
 }
 
@@ -77,7 +80,7 @@ func TestRvalLoadsAndDecays(t *testing.T) {
 	}
 	// Invalid address faults with the symbolic value in the message.
 	bad := Lvalue(a.Int, 0x2)
-	bad.Sym = Atom("ptr[48]")
+	bad.Sym = c.Syms.Text("ptr[48]")
 	_, err = c.Rval(bad)
 	var me *MemError
 	if !errors.As(err, &me) {
@@ -169,7 +172,7 @@ func TestBitfields(t *testing.T) {
 	}
 	// Rvalue struct bitfield extraction.
 	raw, _ := f.GetTargetBytes(vi.Addr, s.Size())
-	srv := Value{Type: s, Bytes: raw}
+	srv := FromBytes(s, raw)
 	frv, err := c.Field(srv, "sign")
 	if err != nil {
 		t.Fatal(err)
@@ -372,23 +375,28 @@ func TestDerefIndexField(t *testing.T) {
 }
 
 func TestSymParenthesization(t *testing.T) {
+	var st SymStore
+	at := st.Text
+	sum := func(a, b string) Sym { return st.Binary(at(a), "+", at(b), PrecAdditive) }
+	diff := func(a, b string) Sym { return st.Binary(at(a), "-", at(b), PrecAdditive) }
 	cases := []struct {
 		a, b Sym
 		op   string
 		prec int
 		want string
 	}{
-		{Atom("a"), Atom("b"), "+", PrecAdditive, "a+b"},
-		{Sym{"a+b", PrecAdditive}, Atom("c"), "*", PrecMultip, "(a+b)*c"},
-		{Atom("c"), Sym{"a+b", PrecAdditive}, "*", PrecMultip, "c*(a+b)"},
-		{Sym{"a*b", PrecMultip}, Atom("c"), "+", PrecAdditive, "a*b+c"},
+		{at("a"), at("b"), "+", PrecAdditive, "a+b"},
+		{sum("a", "b"), at("c"), "*", PrecMultip, "(a+b)*c"},
+		{at("c"), sum("a", "b"), "*", PrecMultip, "c*(a+b)"},
+		{st.Binary(at("a"), "*", at("b"), PrecMultip), at("c"), "+", PrecAdditive, "a*b+c"},
 		// Left-assoc: equal precedence on the right needs parens.
-		{Atom("a"), Sym{"b-c", PrecAdditive}, "-", PrecAdditive, "a-(b-c)"},
-		{Sym{"a-b", PrecAdditive}, Atom("c"), "-", PrecAdditive, "a-b-c"},
+		{at("a"), diff("b", "c"), "-", PrecAdditive, "a-(b-c)"},
+		{diff("a", "b"), at("c"), "-", PrecAdditive, "a-b-c"},
 	}
 	for _, tc := range cases {
-		if got := BinarySym(tc.a, tc.op, tc.b, tc.prec); got.S != tc.want {
-			t.Errorf("BinarySym = %q, want %q", got.S, tc.want)
+		s := st.Binary(tc.a, tc.op, tc.b, tc.prec)
+		if got := st.String(s); got != tc.want || st.length(s) != len(tc.want) {
+			t.Errorf("Binary = %q (Len %d), want %q", got, st.length(s), tc.want)
 		}
 	}
 }
@@ -447,7 +455,7 @@ func TestTruth(t *testing.T) {
 		}
 	}
 	s, _ := a.StructOf("s", ctype.FieldSpec{Name: "x", Type: a.Int})
-	if _, err := c.Truth(Value{Type: s, Bytes: make([]byte, s.Size())}); err == nil {
+	if _, err := c.Truth(FromBytes(s, make([]byte, s.Size()))); err == nil {
 		t.Error("struct truth accepted")
 	}
 }

@@ -188,8 +188,7 @@ func DecodeInt(b []byte) int64 {
 
 // encCacheVals bounds the static encode cache below: the low integers that
 // comparison results, truth values, array subscripts and typical debuggee
-// payloads encode over and over. 4096 matches the value package's cached
-// small-integer strings; the four backing arrays cost ~60 KiB once.
+// payloads encode over and over; the four backing arrays cost ~60 KiB once.
 const encCacheVals = 4096
 
 // encCache[n] holds the little-endian encodings of 0..encCacheVals-1 at

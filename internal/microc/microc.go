@@ -287,11 +287,11 @@ func (in *Interp) callBody(p *target.Process, f *target.Func, args []target.Datu
 		if err != nil {
 			return target.Datum{}, err
 		}
-		conv, err := in.env.Ctx.Convert(value.Value{Type: args[i].Type, Bytes: args[i].Bytes}, pt)
+		conv, err := in.env.Ctx.Convert(value.FromBytes(args[i].Type, args[i].Bytes), pt)
 		if err != nil {
 			return target.Datum{}, fmt.Errorf("microc: argument %d of %q: %w", i, f.Name, err)
 		}
-		if err := p.Space.Write(lv.Addr, conv.Bytes); err != nil {
+		if err := p.Space.Write(lv.Addr, conv.Bytes()); err != nil {
 			return target.Datum{}, err
 		}
 	}
@@ -332,7 +332,7 @@ func (in *Interp) CallInts(name string, args ...int64) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		in2[i] = target.Datum{Type: v.Type, Bytes: v.Bytes}
+		in2[i] = target.Datum{Type: v.Type, Bytes: v.Bytes()}
 	}
 	out, err := in.P.CallFunc(f, in2)
 	if err != nil {
@@ -341,7 +341,7 @@ func (in *Interp) CallInts(name string, args ...int64) (int64, error) {
 	if out.Type == nil || ctype.IsVoid(out.Type) {
 		return 0, nil
 	}
-	return value.Value{Type: out.Type, Bytes: out.Bytes}.AsInt(), nil
+	return value.FromBytes(out.Type, out.Bytes).AsInt(), nil
 }
 
 // RunMain builds argc/argv in the target heap and calls main.
@@ -373,8 +373,8 @@ func (in *Interp) RunMain(argv []string) (int64, error) {
 		argc := value.MakeInt(arch.Int, int64(len(argv)))
 		argvv := value.MakePtr(arch.Ptr(arch.Ptr(arch.Char)), vecAddr)
 		args = []target.Datum{
-			{Type: argc.Type, Bytes: argc.Bytes},
-			{Type: argvv.Type, Bytes: argvv.Bytes},
+			{Type: argc.Type, Bytes: argc.Bytes()},
+			{Type: argvv.Type, Bytes: argvv.Bytes()},
 		}
 	}
 	out, err := in.P.CallFunc(f, args)
@@ -384,7 +384,7 @@ func (in *Interp) RunMain(argv []string) (int64, error) {
 	if out.Type == nil || ctype.IsVoid(out.Type) {
 		return 0, nil
 	}
-	return value.Value{Type: out.Type, Bytes: out.Bytes}.AsInt(), nil
+	return value.FromBytes(out.Type, out.Bytes).AsInt(), nil
 }
 
 func (in *Interp) execStmt(fn *cparse.FuncDef, fr *target.Frame, s cparse.Stmt) error {
@@ -554,7 +554,7 @@ func (in *Interp) execStmt(fn *cparse.FuncDef, fr *target.Frame, s cparse.Stmt) 
 				return err
 			}
 		}
-		return returnErr{val: target.Datum{Type: v.Type, Bytes: v.Bytes}}
+		return returnErr{val: target.Datum{Type: v.Type, Bytes: v.Bytes()}}
 	case *cparse.BreakStmt:
 		return errBreak
 	case *cparse.ContinueStmt:
