@@ -539,10 +539,10 @@ func (r *REPL) serveFleet(workers, n, replicas int, hedge serve.HedgeConfig, ret
 			_ = s.Shutdown(sctx)
 		}
 	}
-	if mutating, err := servers[0].ClassifyQuery("repl", expr); err != nil {
+	if q, err := servers[0].Prepare("repl", expr); err != nil {
 		shutdown()
 		return fmt.Errorf("serve: %w", err)
-	} else if mutating {
+	} else if q.Mutating {
 		shutdown()
 		return fmt.Errorf("serve: replicas=%d needs a read-only expression (the replicas share this one target; a write fan-out would apply it %d times)", replicas, replicas)
 	}

@@ -5,6 +5,8 @@ package lexer
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -191,7 +193,9 @@ func New(src string) *Lexer { return &Lexer{src: src, line: 1, col: 1} }
 // Tokenize scans all of src into a token slice ending with an EOF token.
 func Tokenize(src string) ([]Token, error) {
 	lx := New(src)
-	var toks []Token
+	// A token averages more than two bytes of source; one allocation covers
+	// typical input, and append still grows the rare denser one.
+	toks := make([]Token, 0, len(src)/2+4)
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -298,42 +302,48 @@ func (l *Lexer) Next() (Token, error) {
 	case c == '"':
 		return l.scanString(pos)
 	}
-	// Operators, longest spelling first.
-	ops := []struct {
-		text string
-		kind Kind
-	}{
-		{"-->>", BExpand}, {"...", Ellipsis}, {"<<=", ShlAssign}, {">>=", ShrAssign},
-		{"==?", IfEq}, {"!=?", IfNe}, {"<=?", IfLe}, {">=?", IfGe}, {"-->", Expand},
-		{"&&/", AllOf}, {"||/", AnyOf},
-		{"==", Eq}, {"!=", Ne}, {"<=", Le}, {">=", Ge}, {"<?", IfLt}, {">?", IfGt},
-		{"<<", Shl}, {">>", Shr}, {"&&", AndAnd}, {"||", OrOr},
-		{"->", Arrow}, {"++", Inc}, {"--", Dec},
-		{"+=", AddAssign}, {"-=", SubAssign}, {"*=", MulAssign}, {"/=", DivAssign},
-		{"%=", ModAssign}, {"&=", AndAssign}, {"|=", OrAssign}, {"^=", XorAssign},
-		{"=>", Imply}, {":=", Define}, {"..", DotDot}, {"#/", CountOf}, {"+/", SumOf},
-		{"(", LParen}, {")", RParen}, {"[", LBracket}, {"]", RBracket},
-		{"{", LBrace}, {"}", RBrace}, {",", Comma}, {";", Semi}, {":", Colon},
-		{"?", Question}, {".", Dot}, {"+", Plus}, {"-", Minus}, {"*", Star},
-		{"/", Slash}, {"%", Percent}, {"&", Amp}, {"|", Pipe}, {"^", Caret},
-		{"~", Tilde}, {"!", Not}, {"<", Lt}, {">", Gt}, {"=", Assign},
-		{"@", At}, {"#", Hash},
-	}
-	for _, op := range ops {
-		if strings.HasPrefix(l.src[l.off:], op.text) {
-			// "+/", "&&/", "||/", "#/" must not swallow the start of
-			// a comment: "a+/*c*/b" is "+" then a comment.
-			if strings.HasSuffix(op.text, "/") {
-				after := l.peekAt(len(op.text))
-				if after == '*' || after == '/' {
-					continue
-				}
-			}
-			l.advance(len(op.text))
-			return Token{Kind: op.kind, Pos: pos, Text: op.text}, nil
-		}
+	if kind, n := scanOp(l.src[l.off:]); n > 0 {
+		text := l.src[l.off : l.off+n]
+		l.advance(n)
+		return Token{Kind: kind, Pos: pos, Text: text}, nil
 	}
 	return Token{}, l.errf(pos, "unexpected character %q", string(c))
+}
+
+// opsByFirst lists the operator spellings by their first byte, longest
+// first, so scanOp tries a handful of candidates instead of every operator.
+// It is built once from kindNames, the one table of spellings.
+var opsByFirst = func() (idx [256][]opSpelling) {
+	for k := LParen; k <= AnyOf; k++ {
+		text := kindNames[k]
+		idx[text[0]] = append(idx[text[0]], opSpelling{text, k})
+	}
+	for _, ops := range idx {
+		slices.SortStableFunc(ops, func(a, b opSpelling) int { return len(b.text) - len(a.text) })
+	}
+	return idx
+}()
+
+type opSpelling struct {
+	text string
+	kind Kind
+}
+
+// scanOp matches the operator at the start of s, longest spelling first, and
+// returns its kind and length; n == 0 means s does not start with one. The
+// reductions "+/", "&&/", "||/" and "#/" never swallow the start of a
+// comment: "a+/*c*/b" is "+" then a comment.
+func scanOp(s string) (kind Kind, n int) {
+	for _, op := range opsByFirst[s[0]] {
+		if n = len(op.text); !strings.HasPrefix(s, op.text) {
+			continue
+		}
+		if op.text[n-1] == '/' && n < len(s) && (s[n] == '*' || s[n] == '/') {
+			continue
+		}
+		return op.kind, n
+	}
+	return 0, 0
 }
 
 func (l *Lexer) scanNumber(pos Pos) (Token, error) {
@@ -392,22 +402,22 @@ func (l *Lexer) scanNumber(pos Pos) (Token, error) {
 	text := l.src[start:l.off]
 	num := l.src[start:numEnd]
 	if isFloat {
-		var f float64
-		if _, err := fmt.Sscanf(num, "%g", &f); err != nil {
+		f, err := strconv.ParseFloat(num, 64)
+		if err != nil {
 			return Token{}, l.errf(pos, "malformed float literal %q", text)
 		}
 		return Token{Kind: FloatLit, Pos: pos, Text: text, Float: f}, nil
 	}
-	var v uint64
-	var err error
+	// C's rule: a 0x prefix is hex, any other leading 0 octal — every digit
+	// of which must be below 8, so "078" is an error, not 7.
+	digits, base := num, 10
 	switch {
-	case strings.HasPrefix(num, "0x"), strings.HasPrefix(num, "0X"):
-		_, err = fmt.Sscanf(num[2:], "%x", &v)
+	case len(num) > 1 && num[0] == '0' && (num[1] == 'x' || num[1] == 'X'):
+		digits, base = num[2:], 16
 	case len(num) > 1 && num[0] == '0':
-		_, err = fmt.Sscanf(num[1:], "%o", &v)
-	default:
-		_, err = fmt.Sscanf(num, "%d", &v)
+		digits, base = num[1:], 8
 	}
+	v, err := strconv.ParseUint(digits, base, 64)
 	if err != nil {
 		return Token{}, l.errf(pos, "malformed integer literal %q", text)
 	}

@@ -121,6 +121,11 @@ func TestNumbers(t *testing.T) {
 		{".5", 0, 0.5, true, false, false},
 		{"1e3", 0, 1000, true, false, false},
 		{"2.5e-1", 0, 0.25, true, false, false},
+		{"08.5", 0, 8.5, true, false, false}, // C reads this as decimal 8.5
+		{"0777", 0777, 0, false, false, false},
+		{"1.", 0, 1, true, false, false},
+		{"1.e2", 0, 100, true, false, false},
+		{"18446744073709551615", 1<<64 - 1, 0, false, false, false},
 	}
 	for _, c := range cases {
 		toks, err := Tokenize(c.src)
@@ -141,6 +146,21 @@ func TestNumbers(t *testing.T) {
 	}
 	if _, err := Tokenize("0x"); err == nil {
 		t.Error("bare 0x accepted")
+	}
+	// An octal literal with an 8 or 9 in it is malformed, wherever the
+	// digit sits: "078" must not lex as 7 (x[078] would read x[7]).
+	for _, bad := range []string{"078", "0778", "08", "09", "0x1FFFFFFFFFFFFFFFF", "18446744073709551616", "1e400"} {
+		toks, err := Tokenize(bad)
+		if err == nil {
+			t.Errorf("%q accepted as %+v", bad, toks[0])
+			continue
+		}
+		if !strings.Contains(err.Error(), "malformed") {
+			t.Errorf("%q: %v, want a malformed-literal error", bad, err)
+		}
+	}
+	if _, err := Tokenize("x[078]"); err == nil || !strings.Contains(err.Error(), `malformed integer literal "078"`) {
+		t.Errorf("x[078]: %v, want malformed integer literal", err)
 	}
 }
 
@@ -231,27 +251,30 @@ func TestLexError(t *testing.T) {
 	}
 }
 
+// paperQueries is every query syntax the paper shows; FuzzTokenize starts
+// from them too.
+var paperQueries = []string{
+	"x[..100] >? 0",
+	"hash[0..1023]->scope = 0 ;",
+	"x[1..4,8,12..50] >? 5 <? 10",
+	"(hash[..1024] !=? 0)->scope >? 5",
+	"x:= hash[..1024] !=? 0 => y:= x->scope => y = 0",
+	"hash[1,9]->(scope,name)",
+	"hash[..1024]->(if (_ && scope > 5) name)",
+	"head-->next->value",
+	"L-->next->(value ==? next-->next->value)",
+	"root-->(left,right)->key",
+	"((1..9)*(1..9))[[52,74]]",
+	"#/(root-->(left,right)->key)",
+	"L-->next#i->value ==? L-->next#j->value => if (i < j) L-->next[[i,j]]->value",
+	"s[0..999]@(_=='\\0')",
+	"argv[0..]@0",
+	`printf("%d %d, ", (3,4), 5..7)`,
+}
+
 // TestPaperQueries tokenizes every query syntax the paper shows.
 func TestPaperQueries(t *testing.T) {
-	queries := []string{
-		"x[..100] >? 0",
-		"hash[0..1023]->scope = 0 ;",
-		"x[1..4,8,12..50] >? 5 <? 10",
-		"(hash[..1024] !=? 0)->scope >? 5",
-		"x:= hash[..1024] !=? 0 => y:= x->scope => y = 0",
-		"hash[1,9]->(scope,name)",
-		"hash[..1024]->(if (_ && scope > 5) name)",
-		"head-->next->value",
-		"L-->next->(value ==? next-->next->value)",
-		"root-->(left,right)->key",
-		"((1..9)*(1..9))[[52,74]]",
-		"#/(root-->(left,right)->key)",
-		"L-->next#i->value ==? L-->next#j->value => if (i < j) L-->next[[i,j]]->value",
-		"s[0..999]@(_=='\\0')",
-		"argv[0..]@0",
-		`printf("%d %d, ", (3,4), 5..7)`,
-	}
-	for _, q := range queries {
+	for _, q := range paperQueries {
 		if _, err := Tokenize(q); err != nil {
 			t.Errorf("Tokenize(%q): %v", q, err)
 		}

@@ -71,8 +71,12 @@ const (
 // SymStore records the derivations of one evaluation. Each composition
 // appends O(1) bytes: a node in a fixed-size chunk, so growing never copies
 // (and never moves) a node. Atom texts are kept as strings, not copied; a
-// small cache keyed by the string's data pointer gives a repeated AST name
-// or operator one text slot per evaluation.
+// small two-way cache gives a repeated AST name or operator one text slot
+// per evaluation. It is indexed by the string's length and three of its
+// bytes, not by its address: an operator spelling is a constant whose
+// address the linker picks, so indexing by address would let two hot
+// operators share a slot, and evict each other on every element, in some
+// builds and not in others.
 //
 // Reset starts a new generation and keeps one chunk. A handle from an
 // earlier generation (of the last 65,535) panics when rendered instead of
@@ -83,7 +87,7 @@ type SymStore struct {
 	chunks [][]symNode
 	n      uint32 // nodes in use
 	texts  []string
-	cache  [1 << cacheBits]textSlot
+	cache  [1 << cacheBits][2]textSlot
 
 	// kept holds texts that outlive Reset (Keep), one slot per key.
 	kept    []string
@@ -95,7 +99,7 @@ type SymStore struct {
 	Renders int64
 }
 
-const cacheBits = 6
+const cacheBits = 5
 
 // textSlot remembers where a recent atom string went in texts.
 type textSlot struct {
@@ -122,7 +126,7 @@ func (st *SymStore) Reset() {
 		clear(st.texts)
 		st.texts = st.texts[:0]
 	}
-	st.cache = [len(st.cache)]textSlot{}
+	st.cache = [len(st.cache)][2]textSlot{}
 	for i, b := range st.scratch {
 		if cap(b) > MaxPathSym {
 			st.scratch[i] = nil
@@ -167,15 +171,27 @@ func (st *SymStore) text(s Sym) string {
 // Text returns an atom: a leaf symbolic value with the given text.
 func (st *SymStore) Text(s string) Sym {
 	p := unsafe.StringData(s)
-	key := (uint64(uintptr(unsafe.Pointer(p))) + uint64(len(s))) * 0x9e3779b97f4a7c15 // Fibonacci hashing
-	slot := &st.cache[key>>(64-cacheBits)]
-	if slot.p == p && slot.n == len(s) && p != nil { // Reset clears the cache
-		return st.handle(symText, slot.i, PrecAtom)
+	set := &st.cache[textKey(s)]
+	for _, sl := range set {
+		// Reset clears the cache, so a set slot (p != nil) is current.
+		if sl.p != nil && sl.n == len(s) && (sl.p == p || st.texts[sl.i] == s) {
+			return st.handle(symText, sl.i, PrecAtom)
+		}
 	}
 	i := uint32(len(st.texts))
 	st.texts = append(st.texts, s)
-	*slot = textSlot{p: p, n: len(s), i: i}
+	set[1], set[0] = set[0], textSlot{p: p, n: len(s), i: i}
 	return st.handle(symText, i, PrecAtom)
+}
+
+// textKey picks s's cache set from its length and its first, middle and
+// last bytes (Fibonacci hashing).
+func textKey(s string) uint64 {
+	if s == "" {
+		return 0
+	}
+	h := uint64(len(s)) | uint64(s[0])<<8 | uint64(s[len(s)/2])<<16 | uint64(s[len(s)-1])<<24
+	return h * 0x9e3779b97f4a7c15 >> (64 - cacheBits)
 }
 
 // Int returns the atom of the decimal integer i.

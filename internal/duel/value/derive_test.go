@@ -77,3 +77,24 @@ func TestSymStoreReset(t *testing.T) {
 	}()
 	st.String(x)
 }
+
+// TestSymStoreTextSlots checks that a working set of operator spellings and
+// field names, used over and over, takes one text slot per distinct string
+// — whatever the strings' addresses, so a copy of "next" built at run time
+// shares the slot of the constant.
+func TestSymStoreTextSlots(t *testing.T) {
+	words := []string{"->", "-->", ".", "[[", ">?", "<?", "==?", "!=?", "+", "-", "*", "&&",
+		"next", "scope", "value", "hash", "x", "head", "left", "right"}
+	var st SymStore
+	for round := 0; round < 100; round++ {
+		for _, w := range words {
+			if got := st.String(st.Text(strings.Clone(w))); got != w {
+				t.Fatalf("Text(%q) renders %q", w, got)
+			}
+			st.Text(w)
+		}
+	}
+	if len(st.texts) != len(words) {
+		t.Errorf("%d words used 100 times each took %d text slots, want %d", len(words), len(st.texts), len(words))
+	}
+}

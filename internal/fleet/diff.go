@@ -144,10 +144,13 @@ func (r *Router) Diff(ctx context.Context, groupName, src string, a, b int) (*Di
 	if a == b {
 		return nil, fmt.Errorf("fleet: diff needs two distinct replicas (got %d and %d)", a, b)
 	}
-	if r.classify(g, src) {
+	// The query's own write verdict, never a replica's lock mode: a
+	// read-only replica must not let a write through to the other side.
+	q := prepare(ra, src)
+	if q != nil && q.Mutating {
 		return nil, fmt.Errorf("%w: %q", ErrDiffMutating, src)
 	}
-	rep := r.diffReplicas(ctx, g, src, ra, rb)
+	rep := r.diffReplicas(ctx, g, src, q, ra, rb)
 	if rep.Diverged {
 		r.lastDiv.Store(rep)
 	}
@@ -155,8 +158,9 @@ func (r *Router) Diff(ctx context.Context, groupName, src string, a, b int) (*Di
 }
 
 // diffReplicas collects both sides concurrently and compares them. It is
-// the shared engine under Diff and the scrubber.
-func (r *Router) diffReplicas(ctx context.Context, g *group, src string, ra, rb *replica) *DiffReport {
+// the shared engine under Diff and the scrubber. q, when non-nil, is src
+// prepared on one of the replicas (see runOn).
+func (r *Router) diffReplicas(ctx context.Context, g *group, src string, q *serve.Query, ra, rb *replica) *DiffReport {
 	var (
 		wg     sync.WaitGroup
 		av, bv []serve.StreamValue
@@ -164,8 +168,8 @@ func (r *Router) diffReplicas(ctx context.Context, g *group, src string, ra, rb 
 		at, bt bool
 	)
 	wg.Add(2)
-	go func() { defer wg.Done(); av, ae, at = r.collect(ctx, ra, src) }()
-	go func() { defer wg.Done(); bv, be, bt = r.collect(ctx, rb, src) }()
+	go func() { defer wg.Done(); av, ae, at = r.collect(ctx, ra, src, q) }()
+	go func() { defer wg.Done(); bv, be, bt = r.collect(ctx, rb, src, q) }()
 	wg.Wait()
 	rep := compareStreams(av, bv, ae, be)
 	rep.Group, rep.Query = g.name, src
@@ -177,16 +181,12 @@ func (r *Router) diffReplicas(ctx context.Context, g *group, src string, ra, rb 
 // collect runs src directly against one replica (no failover — the caller
 // chose THIS replica on purpose) and returns its stream, error text, and
 // whether DiffLimit truncated it.
-func (r *Router) collect(ctx context.Context, rep *replica, src string) (vals []serve.StreamValue, errText string, truncated bool) {
-	kctx := rep.killContext()
-	if kctx == nil {
+func (r *Router) collect(ctx context.Context, rep *replica, src string, q *serve.Query) (vals []serve.StreamValue, errText string, truncated bool) {
+	if rep.isKilled() {
 		return nil, ErrReplicaKilled.Error(), false
 	}
-	cctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	stop := context.AfterFunc(kctx, func() { cancel(ErrReplicaKilled) })
-	defer stop()
-	err := rep.srv.SubmitStream(cctx, rep.target, src, serve.SubmitOptions{}, func(v serve.StreamValue) error {
+	emitted := 0
+	err := r.runOn(ctx, rep, src, q, serve.SubmitOptions{}, &emitted, func(v serve.StreamValue) error {
 		if len(vals) >= r.cfg.DiffLimit {
 			truncated = true
 			return errDiffTruncated

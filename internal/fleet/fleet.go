@@ -49,10 +49,11 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -425,6 +426,11 @@ func (r *Router) EvalWith(ctx context.Context, groupName, src string, opt serve.
 // called from the serving side; its error aborts the evaluation and
 // blocking in it backpressures the evaluator, exactly as in
 // serve.SubmitStream. Seq numbers stay contiguous across a failover.
+//
+// The query is parsed once, on the replica a read is routed to first; the
+// path follows the query's own write verdict, never a replica's lock mode,
+// and that replica's attempt evaluates the same AST. Any other replica —
+// a failover, the rest of a write fan-out — parses the source itself.
 func (r *Router) SubmitStream(ctx context.Context, groupName, src string, opt serve.SubmitOptions, emit func(serve.StreamValue) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -433,30 +439,27 @@ func (r *Router) SubmitStream(ctx context.Context, groupName, src string, opt se
 	if err != nil {
 		return err
 	}
-	mutating := r.classify(g, src)
-	r.stats.admitted.Add(1)
-	if mutating {
-		return r.writeAll(ctx, g, src, opt, emit)
+	order := g.routeOrder()
+	var q *serve.Query
+	if len(order) > 0 {
+		q = prepare(order[0], src)
 	}
-	return r.readFailover(ctx, g, src, opt, emit)
+	r.stats.admitted.Add(1)
+	if q != nil && q.Mutating {
+		return r.writeAll(ctx, g, src, q, opt, emit)
+	}
+	return r.readFailover(ctx, g, order, src, q, opt, emit)
 }
 
-// classify asks the first live replica's node whether src mutates the
-// target. A parse error (or a group with no live replica) classifies as
-// read-only: the read path will surface the real error with full
-// accounting, and a query that cannot parse cannot write.
-func (r *Router) classify(g *group, src string) bool {
-	for _, rep := range g.reps {
-		if rep.isKilled() {
-			continue
-		}
-		mutating, err := rep.srv.ClassifyQuery(rep.target, src)
-		if err != nil {
-			return false
-		}
-		return mutating
+// prepare parses src on rep's node. A parse error gives nil, which routes
+// the query as a read: the serving node then surfaces the real error with
+// full accounting, and a query that cannot parse cannot write.
+func prepare(rep *replica, src string) *serve.Query {
+	q, err := rep.srv.Prepare(rep.target, src)
+	if err != nil {
+		return nil
 	}
-	return false
+	return q
 }
 
 // failoverable reports whether an attempt error condemns the replica rather
@@ -503,18 +506,22 @@ func (g *group) routeOrder() []*replica {
 	if len(cands) == 0 {
 		return nil
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].state != cands[j].state {
-			return cands[i].state < cands[j].state
+	best := cands[0].state
+	for _, c := range cands[1:] {
+		best = min(best, c.state)
+	}
+	slices.SortStableFunc(cands, func(a, b cand) int {
+		if a.state != b.state {
+			return cmp.Compare(a.state, b.state)
 		}
-		if cands[i].state == cands[0].state {
+		if a.state == best {
 			// The leading state class keeps registration order; rotation
 			// below spreads load across it. (Scores inside the healthy
 			// class jitter near 1.0 — sorting on them would pin traffic to
 			// whichever replica got lucky last.)
-			return false
+			return 0
 		}
-		return cands[i].score > cands[j].score
+		return cmp.Compare(b.score, a.score)
 	})
 	lead := 1
 	for lead < len(cands) && cands[lead].state == cands[0].state {
@@ -538,8 +545,7 @@ func (g *group) routeOrder() []*replica {
 // failover budget. emitted counts values already delivered to the caller;
 // a re-run suppresses that prefix so mid-stream failover stays
 // exactly-once.
-func (r *Router) readFailover(ctx context.Context, g *group, src string, opt serve.SubmitOptions, emit func(serve.StreamValue) error) error {
-	order := g.routeOrder()
+func (r *Router) readFailover(ctx context.Context, g *group, order []*replica, src string, q *serve.Query, opt serve.SubmitOptions, emit func(serve.StreamValue) error) error {
 	emitted := 0
 	attempts := 0
 	var lastErr error
@@ -551,7 +557,7 @@ func (r *Router) readFailover(ctx context.Context, g *group, src string, opt ser
 			r.stats.failovers.Add(1)
 		}
 		attempts++
-		err := r.runOn(ctx, rep, src, opt, &emitted, emit)
+		err := r.runOn(ctx, rep, src, q, opt, &emitted, emit)
 		if !failoverable(err) {
 			r.stats.completed.Add(1)
 			if err != nil {
@@ -576,8 +582,10 @@ func (r *Router) readFailover(ctx context.Context, g *group, src string, opt ser
 // context with the replica's kill switch and suppressing the
 // already-delivered value prefix on re-runs. Attempts are strictly
 // sequential per query, so emitted needs no synchronization beyond
-// SubmitStream's own happens-before edges.
-func (r *Router) runOn(ctx context.Context, rep *replica, src string, opt serve.SubmitOptions, emitted *int, emit func(serve.StreamValue) error) error {
+// SubmitStream's own happens-before edges. q, when non-nil, is src
+// prepared on some replica: the one it was prepared on evaluates its AST,
+// any other parses src (serve.SubmitPrepared).
+func (r *Router) runOn(ctx context.Context, rep *replica, src string, q *serve.Query, opt serve.SubmitOptions, emitted *int, emit func(serve.StreamValue) error) error {
 	kctx := rep.killContext()
 	if kctx == nil {
 		return &core.CanceledError{Cause: ErrReplicaKilled}
@@ -587,7 +595,7 @@ func (r *Router) runOn(ctx context.Context, rep *replica, src string, opt serve.
 	stop := context.AfterFunc(kctx, func() { cancel(ErrReplicaKilled) })
 	defer stop()
 	seen := 0
-	return rep.srv.SubmitStream(cctx, rep.target, src, opt, func(v serve.StreamValue) error {
+	deliver := func(v serve.StreamValue) error {
 		seen++
 		if seen <= *emitted {
 			// A previous attempt delivered this value before its replica
@@ -597,7 +605,11 @@ func (r *Router) runOn(ctx context.Context, rep *replica, src string, opt serve.
 		v.Seq = *emitted
 		*emitted++
 		return emit(v)
-	})
+	}
+	if q != nil {
+		return rep.srv.SubmitPrepared(cctx, rep.target, q, opt, deliver)
+	}
+	return rep.srv.SubmitStream(cctx, rep.target, src, opt, deliver)
 }
 
 // ReplicaOutcome is one replica's result of a write fan-out.
@@ -646,7 +658,7 @@ func (e *FanoutError) Unwrap() error {
 // replica's values stream to the caller, the rest are discarded, and every
 // replica's outcome is recorded. Any failure surfaces as *FanoutError and
 // counts as a write skew when the replicas disagreed.
-func (r *Router) writeAll(ctx context.Context, g *group, src string, opt serve.SubmitOptions, emit func(serve.StreamValue) error) error {
+func (r *Router) writeAll(ctx context.Context, g *group, src string, q *serve.Query, opt serve.SubmitOptions, emit func(serve.StreamValue) error) error {
 	var live []*replica
 	for _, rep := range g.reps {
 		if !rep.isKilled() {
@@ -678,7 +690,7 @@ func (r *Router) writeAll(ctx context.Context, g *group, src string, opt serve.S
 			emitted := 0
 			outcomes[i] = ReplicaOutcome{
 				Replica: rep.name,
-				Err:     r.runOn(ctx, rep, src, opt, &emitted, member),
+				Err:     r.runOn(ctx, rep, src, q, opt, &emitted, member),
 			}
 		}(i, rep)
 	}

@@ -357,8 +357,21 @@ func TestFleetWriteSkipsKilled(t *testing.T) {
 }
 
 // TestFleetReadOnlyFastFail: a group with an immutable member refuses a
-// mutating query before ANY replica applies it.
+// mutating query before ANY replica applies it, and Diff refuses it too,
+// whichever replica was registered first. The route follows the query's own
+// write verdict; a read-only replica, which serves every query under its
+// shared lock, must not make a write look like a read.
 func TestFleetReadOnlyFastFail(t *testing.T) {
+	for _, frozenFirst := range []bool{false, true} {
+		name := "writable-first"
+		if frozenFirst {
+			name = "frozen-first"
+		}
+		t.Run(name, func(t *testing.T) { testReadOnlyFastFail(t, frozenFirst) })
+	}
+}
+
+func testReadOnlyFastFail(t *testing.T, frozenFirst bool) {
 	r := New(Config{})
 	defer r.Close()
 	writable := buildReplicaImage(t)
@@ -372,30 +385,49 @@ func TestFleetReadOnlyFastFail(t *testing.T) {
 		_ = s1.Shutdown(context.Background())
 		_ = s2.Shutdown(context.Background())
 	}()
-	if err := r.AddGroup("g", []Replica{
-		{Server: s1, Target: "t"},
-		{Server: s2, Target: "t"},
-	}); err != nil {
+	reps := []Replica{{Server: s1, Target: "t"}, {Server: s2, Target: "t"}}
+	frozenAt, writableAt := 1, 0
+	if frozenFirst {
+		reps[0], reps[1] = reps[1], reps[0]
+		frozenAt, writableAt = 0, 1
+	}
+	if err := r.AddGroup("g", reps); err != nil {
 		t.Fatal(err)
 	}
 
-	_, err := r.Eval(context.Background(), "g", "x[0] = 99")
-	if !errors.Is(err, ErrReadOnlyReplica) {
-		t.Fatalf("want ErrReadOnlyReplica, got %v", err)
+	// Rotation spreads reads, so a second attempt would be prepared on the
+	// other replica: both must refuse.
+	for i := 0; i < 2; i++ {
+		_, err := r.Eval(context.Background(), "g", "x[0] = 99")
+		if !errors.Is(err, ErrReadOnlyReplica) {
+			t.Fatalf("write %d: want ErrReadOnlyReplica, got %v", i, err)
+		}
+		if !errors.Is(err, dbgif.ErrReadOnlyTarget) {
+			t.Errorf("refusal does not unwrap to the capability error: %v", err)
+		}
 	}
-	if !errors.Is(err, dbgif.ErrReadOnlyTarget) {
-		t.Errorf("refusal does not unwrap to the capability error: %v", err)
+	// Fast-fail means fast: the writable replica was never touched, and
+	// every read — whichever replica serves it — still sees 3.
+	for i := 0; i < 4; i++ {
+		if vals, verr := r.Eval(context.Background(), "g", "x[0]"); verr != nil || len(vals) != 1 || vals[0].Text != "3" {
+			t.Errorf("read %d after a refused write: %v %v", i, texts(vals), verr)
+		}
 	}
-	// Fast-fail means fast: the writable replica was never touched.
-	if vals, verr := r.Eval(context.Background(), "g", "x[0]"); verr != nil || vals[0].Text != "3" {
-		t.Errorf("writable replica mutated by a refused write: %v %v", texts(vals), verr)
-	}
-	if st := r.Stats(); st.ReadOnlyRefusals != 1 || st.WriteFanouts != 0 {
+	if st := r.Stats(); st.ReadOnlyRefusals != 2 || st.WriteFanouts != 0 {
 		t.Errorf("refusal accounting: %+v", st)
 	}
 	// Reads still flow to the frozen member.
 	if _, err := r.Eval(context.Background(), "g", "x[..10]"); err != nil {
 		t.Errorf("read against a group with a read-only member: %v", err)
+	}
+	// Diff of a write is refused from either side, before either runs it.
+	for _, ab := range [][2]int{{frozenAt, writableAt}, {writableAt, frozenAt}} {
+		if _, err := r.Diff(context.Background(), "g", "x[0] = 99", ab[0], ab[1]); !errors.Is(err, ErrDiffMutating) {
+			t.Errorf("Diff(%d, %d) of a write: want ErrDiffMutating, got %v", ab[0], ab[1], err)
+		}
+	}
+	if vals, verr := r.Eval(context.Background(), "g", "x[0]"); verr != nil || len(vals) != 1 || vals[0].Text != "3" {
+		t.Errorf("read after refused diffs: %v %v", texts(vals), verr)
 	}
 }
 

@@ -81,7 +81,7 @@ func (r *Router) scrubGroup(g *group) {
 	defer cancel()
 
 	r.stats.scrubRuns.Add(1)
-	rep := r.diffReplicas(ctx, g, src, a, b)
+	rep := r.diffReplicas(ctx, g, src, nil, a, b)
 	if !rep.Diverged {
 		return
 	}
@@ -93,7 +93,7 @@ func (r *Router) scrubGroup(g *group) {
 	}
 	culprit := b
 	tiebreak := live[(k+2)%len(live)]
-	if d2 := r.diffReplicas(ctx, g, src, a, tiebreak); d2.Diverged {
+	if d2 := r.diffReplicas(ctx, g, src, nil, a, tiebreak); d2.Diverged {
 		// a disagrees with b AND with the tie-breaker: a is the odd one out.
 		culprit = a
 	}

@@ -31,7 +31,6 @@ import (
 	"duel"
 	"duel/internal/core"
 	"duel/internal/dbgif"
-	"duel/internal/duel/ast"
 	"duel/internal/memio"
 )
 
@@ -82,10 +81,11 @@ func (t *targetState) classifierLocked() (*duel.Session, error) {
 	return t.cls, nil
 }
 
-// classify parses src on the target's dedicated classification session and
-// reports whether the query mutates the target. The batcher must classify
-// before deciding the query's path — without borrowing a pooled evaluation
-// session, which a worker may be using.
+// prepare parses src on the target's dedicated classification session and
+// returns it as a Query carrying its own write verdict. The batcher and the
+// fleet router must know the verdict before choosing the query's path —
+// without borrowing a pooled evaluation session, which a worker may be
+// using — and the AST then rides the job, so the query is parsed once.
 //
 // Classification never evaluates, so it cannot define aliases — but the
 // session is long-lived and shared by every submit against the target, so
@@ -94,22 +94,21 @@ func (t *targetState) classifierLocked() (*duel.Session, error) {
 // out. Defense in depth: if a future parse path ever grows session state,
 // the classifier cannot quietly accumulate it across submits
 // (TestClassifierSessionHygiene pins this).
-func (t *targetState) classify(src string) (mutating bool, err error) {
+func (t *targetState) prepare(src string) (Query, error) {
 	t.clsMu.Lock()
 	defer t.clsMu.Unlock()
 	ses, err := t.classifierLocked()
 	if err != nil {
-		return false, err
+		return Query{}, err
 	}
 	n, err := ses.Parse(src)
 	if err != nil {
-		return false, err
+		return Query{}, err
 	}
-	mutating = MutatesTargetFor(n, ses.D)
 	if Pollutes(n) {
 		ses.ClearAliases()
 	}
-	return mutating, nil
+	return Query{Src: src, Mutating: mutatesTarget(n, ses.D), t: t, node: n}, nil
 }
 
 // readOnly reports whether the target's substrate refuses writes
@@ -127,30 +126,20 @@ func (t *targetState) readOnly() (bool, error) {
 	return dbgif.ReadOnly(ses.D), nil
 }
 
-// submitBatched tries to ride src on the target's batch. handled=false
-// means the batcher declined (mutating query, classification failure) and
-// the caller must run the query down the normal path; handled=true means
-// the outcome is final — the member was admitted, batched, evaluated (or
-// refused with a typed admission error) and its counters are settled.
-func (s *Server) submitBatched(ctx context.Context, t *targetState, src string, emit func(duel.Result) error, deadline time.Time) (queryOutcome, bool) {
-	mutating, cerr := t.classify(src)
-	if cerr != nil || mutating {
-		// Parse errors and mutating queries take the unbatched path: the
-		// normal path re-parses on the evaluation session (reporting the
-		// error with full accounting) and gives writers the exclusive lock.
-		return queryOutcome{}, false
-	}
-
+// submitBatched rides a prepared read-only query on the target's batch. The
+// outcome is final: the member was admitted, batched, evaluated (or refused
+// with a typed admission error) and its counters are settled.
+func (s *Server) submitBatched(ctx context.Context, t *targetState, q Query, emit func(duel.Result) error, deadline time.Time) queryOutcome {
 	s.admitMu.RLock()
 	if s.state != stateServing {
 		s.admitMu.RUnlock()
 		s.stats.drained.Add(1)
-		return queryOutcome{err: ErrDraining}, true
+		return queryOutcome{err: ErrDraining}
 	}
 	healthProbe, err := t.health.admit()
 	if err != nil {
 		s.admitMu.RUnlock()
-		return queryOutcome{err: fmt.Errorf("target %q: %w", t.name, err)}, true
+		return queryOutcome{err: fmt.Errorf("target %q: %w", t.name, err)}
 	}
 	probe, err := t.brk.admit()
 	if err != nil {
@@ -158,10 +147,10 @@ func (s *Server) submitBatched(ctx context.Context, t *targetState, src string, 
 		if healthProbe {
 			t.health.cancelProbe()
 		}
-		return queryOutcome{err: fmt.Errorf("target %q: %w", t.name, err)}, true
+		return queryOutcome{err: fmt.Errorf("target %q: %w", t.name, err)}
 	}
 	j := jobPool.Get().(*job)
-	j.ctx, j.t, j.src, j.emit = ctx, t, src, emit
+	j.ctx, j.t, j.src, j.node, j.emit = ctx, t, q.Src, q.node, emit
 	j.deadline, j.probe, j.healthProbe, j.counted = deadline, probe, healthProbe, true
 	j.mutated = false
 	j.enqueuedAt = s.cfg.now()
@@ -193,7 +182,7 @@ func (s *Server) submitBatched(ctx context.Context, t *targetState, src string, 
 	err = <-j.done
 	out := queryOutcome{err: err, ran: j.ran, mutated: j.mutated, queueWait: j.queueWait, evalDur: j.evalDur}
 	putJob(j)
-	return out, true
+	return out
 }
 
 // flushBatch moves the batcher's pending members into one container job on
@@ -273,30 +262,13 @@ func (s *Server) runBatch(c *job, aff *affinity, id int) {
 	}
 	ses := ps.ses
 
-	// Parse every member up front (no target access) and collect the union
-	// of statically plannable scan stripes for the warm pass. A member that
-	// fails to parse here — the classification session accepted it, but
-	// that window allows a cache difference — reports its parse error and
-	// drops out; the batch continues.
-	live := make([]*job, 0, len(c.members))
-	nodes := make([]*ast.Node, 0, len(c.members))
+	// Every member arrives parsed (submitBatched takes prepared queries
+	// only); collect the union of their statically plannable scan stripes
+	// for the warm pass.
 	var stripes []memio.Range
 	for _, j := range c.members {
 		j.queueWait = pickup.Sub(j.enqueuedAt)
-		n, perr := ses.Parse(j.src)
-		if perr != nil {
-			s.releaseProbes(j)
-			j.ran = true
-			j.done <- perr
-			continue
-		}
-		live = append(live, j)
-		nodes = append(nodes, n)
-		stripes = append(stripes, core.ScanStripes(ses.Env, n)...)
-	}
-	if len(live) == 0 {
-		retain(c, aff, ps)
-		return
+		stripes = append(stripes, core.ScanStripes(ses.Env, j.node)...)
 	}
 
 	t.rw.RLock(id)
@@ -310,8 +282,8 @@ func (s *Server) runBatch(c *job, aff *affinity, id int) {
 	if len(stripes) > 0 {
 		mem.PrefetchRanges(stripes)
 	}
-	for i, j := range live {
-		s.runBatchMember(j, nodes[i], ses)
+	for _, j := range c.members {
+		s.runBatchMember(j, ses)
 	}
 	mem.EndBatch()
 	t.rw.RUnlock(id)
@@ -322,7 +294,7 @@ func (s *Server) runBatch(c *job, aff *affinity, id int) {
 // target read lock already held by runBatch. It mirrors run()'s accounting
 // exactly — per-member deadline, cancellation, drain, breaker, health and
 // latency — and always sends the member's done exactly once.
-func (s *Server) runBatchMember(j *job, n *ast.Node, ses *duel.Session) {
+func (s *Server) runBatchMember(j *job, ses *duel.Session) {
 	// The member's deadline may have lapsed while earlier members of the
 	// batch evaluated; shed it now, typed, and let the batch continue.
 	if !j.deadline.IsZero() && s.cfg.now().After(j.deadline) {
@@ -357,7 +329,7 @@ func (s *Server) runBatchMember(j *job, n *ast.Node, ses *duel.Session) {
 	}
 	stop := context.AfterFunc(s.hardCtx, cancel)
 	start := time.Now()
-	err := ses.EvalNodeContext(ctx, n, j.emit)
+	err := ses.EvalNodeContext(ctx, j.node, j.emit)
 	elapsed := time.Since(start)
 	j.evalDur = elapsed
 	stop()
@@ -377,7 +349,7 @@ func (s *Server) runBatchMember(j *job, n *ast.Node, ses *duel.Session) {
 			j.t.lat.observe(elapsed)
 		}
 	}
-	if Pollutes(n) {
+	if Pollutes(j.node) {
 		ses.ClearAliases()
 	}
 	j.ran = true

@@ -14,11 +14,12 @@ func classifierVerdict(t *testing.T, srv *Server, queries []string) []string {
 	t.Helper()
 	out := make([]string, len(queries))
 	for i, src := range queries {
-		mutating, err := srv.ClassifyQuery("t", src)
-		out[i] = strconv.FormatBool(mutating)
+		q, err := srv.Prepare("t", src)
 		if err != nil {
 			out[i] = "err:" + err.Error()
+			continue
 		}
+		out[i] = strconv.FormatBool(q.Mutating)
 	}
 	return out
 }
@@ -93,7 +94,7 @@ func TestClassifierHygieneConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				_, _ = used.ClassifyQuery("t", mixed[(g+i)%len(mixed)])
+				_, _ = used.Prepare("t", mixed[(g+i)%len(mixed)])
 			}
 		}(g)
 	}

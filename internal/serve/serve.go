@@ -289,9 +289,10 @@ type targetState struct {
 	// batching is off.
 	batch *batcher
 
-	// cls is the lazily built classification session: the batcher parses
-	// and read/write-classifies a query before deciding its path, without
-	// borrowing a pooled evaluation session. Guarded by clsMu.
+	// cls is the lazily built classification session: Prepare (for the
+	// fleet router and the batcher) parses and read/write-classifies a
+	// query before its path is chosen, without borrowing a pooled
+	// evaluation session. Guarded by clsMu.
 	clsMu sync.Mutex
 	cls   *duel.Session
 
@@ -356,6 +357,10 @@ type job struct {
 	mutated     bool      // worker → submitter: classified as mutating
 	done        chan error
 
+	// node is src's AST when the query was prepared on this target's
+	// classification session; nil means the worker parses src.
+	node *ast.Node
+
 	// members, when non-nil, makes this job a batch container: the worker
 	// runs every member under one target-lock acquisition and one warm pass
 	// (runBatch) and the container itself reports to no submitter.
@@ -373,7 +378,7 @@ var jobPool = sync.Pool{New: func() any { return &job{done: make(chan error, 1)}
 
 // putJob clears the job's references and returns it to the pool.
 func putJob(j *job) {
-	j.ctx, j.t, j.src, j.emit = nil, nil, "", nil
+	j.ctx, j.t, j.src, j.emit, j.node = nil, nil, "", nil, nil
 	j.deadline = time.Time{}
 	j.probe, j.healthProbe, j.hedge, j.counted, j.ran, j.mutated = false, false, false, false, false, false
 	j.members = nil
@@ -512,19 +517,43 @@ func (s *Server) TargetHealthScore(name string) (HealthState, float64, error) {
 	return st, t.health.score(), nil
 }
 
-// ClassifyQuery parses src on the named target's classification session and
-// reports whether it would mutate the target — the same read/write
-// classification the worker applies before choosing a lock mode, exposed so
-// a routing layer can pick a path (read failover vs write fan-out) before
-// committing the query to any node. A parse error reports as the error; the
-// caller typically routes such a query down the read path and lets the
+// Query is a query parsed once, on the classification session of the target
+// it was prepared for (Prepare), so that submitting it there (SubmitPrepared)
+// evaluates the AST instead of parsing the source again. The AST holds that
+// target's C types, so it is only ever evaluated there: submitted to any
+// other target, the query is parsed afresh from Src.
+type Query struct {
+	// Src is the query's source text.
+	Src string
+	// Mutating is the query's own write verdict: it assigns, increments or
+	// decrements, declares, interns a string literal, or calls anything but
+	// a read-only builtin. It does not depend on whether the target refuses
+	// writes (MutatesTargetFor's lock mode does), so a routing layer that
+	// picks read failover or write fan-out on it sends a write down the
+	// write path whichever replica prepared it.
+	Mutating bool
+
+	t    *targetState // the target the AST was parsed for; nil: not parsed
+	node *ast.Node
+}
+
+// Prepare parses src on the named target's classification session and
+// returns the AST with the query's own write verdict, so that a routing
+// layer can pick a path (read failover vs write fan-out) and then submit the
+// same parse with SubmitPrepared. Preparing is not an admission: no counter
+// moves until the query is submitted. A parse error reports as the error;
+// the caller typically routes such a query down the read path and lets the
 // serving node surface the error with full accounting.
-func (s *Server) ClassifyQuery(target, src string) (mutating bool, err error) {
+func (s *Server) Prepare(target, src string) (*Query, error) {
 	t, err := s.lookup(target)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	return t.classify(src)
+	q, err := t.prepare(src)
+	if err != nil {
+		return nil, err
+	}
+	return &q, nil
 }
 
 // TargetReadOnly reports whether the named target's substrate refuses
@@ -683,12 +712,18 @@ type queryOutcome struct {
 // caller afterwards. However many attempts this spawns, the query counts as
 // at most one admission and at most one completion.
 func (s *Server) SubmitContext(ctx context.Context, target, src string, opt SubmitOptions, emit func(duel.Result) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	t, err := s.lookup(target)
 	if err != nil {
 		return err
+	}
+	return s.submit(ctx, t, Query{Src: src}, opt, emit)
+}
+
+// submit is SubmitContext on a resolved target. q.node, when set, is q.Src
+// parsed for t; every attempt of the query evaluates it.
+func (s *Server) submit(ctx context.Context, t *targetState, q Query, opt SubmitOptions, emit func(duel.Result) error) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	deadline := opt.Deadline
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
@@ -714,18 +749,25 @@ func (s *Server) SubmitContext(ctx context.Context, target, src string, opt Subm
 	var out queryOutcome
 	switch {
 	case hedge:
-		out = s.runHedged(ctx, t, src, countEmit, deadline)
+		out = s.runHedged(ctx, t, q, countEmit, deadline)
 	case t.batch != nil:
-		// Batching path: read-only queries coalesce per target. A query the
-		// batcher does not take (mutating, parse error, batching raced a
-		// flush) falls through to its own job unchanged.
-		var handled bool
-		out, handled = s.submitBatched(ctx, t, src, countEmit, deadline)
-		if !handled {
-			out = s.runOnce(ctx, t, src, countEmit, deadline, true)
+		// Batching path: read-only queries coalesce per target. The batcher
+		// must know the verdict before it picks a path, so an unprepared
+		// query is parsed here, once, and its AST rides the batch. A query
+		// the batcher does not take (mutating, parse error) runs as its own
+		// job; a parse error is reported there with full accounting.
+		if q.node == nil {
+			if p, err := t.prepare(q.Src); err == nil {
+				q = p
+			}
+		}
+		if q.node != nil && !q.Mutating {
+			out = s.submitBatched(ctx, t, q, countEmit, deadline)
+		} else {
+			out = s.runOnce(ctx, t, q, countEmit, deadline, true)
 		}
 	default:
-		out = s.runOnce(ctx, t, src, countEmit, deadline, true)
+		out = s.runOnce(ctx, t, q, countEmit, deadline, true)
 	}
 
 	// Serve-layer retry: one extra attempt, spent from the target's token
@@ -737,7 +779,7 @@ func (s *Server) SubmitContext(ctx context.Context, target, src string, opt Subm
 	if s.retryableOutcome(out, emitted) && t.retry.take() {
 		if (deadline.IsZero() || s.cfg.now().Before(deadline)) && sleepCtx(ctx, t.retry.backoff) {
 			s.stats.retried.Add(1)
-			second := s.runOnce(ctx, t, src, countEmit, deadline, false)
+			second := s.runOnce(ctx, t, q, countEmit, deadline, false)
 			// The retry's outcome stands unless it was refused without
 			// running while the original at least ran.
 			if second.ran || !out.ran {
@@ -773,8 +815,8 @@ func (s *Server) retryableOutcome(out queryOutcome, emitted int) bool {
 
 // runOnce drives a single attempt through the queue and blocks for its
 // worker. counted marks the attempt that carries the query's stats counts.
-func (s *Server) runOnce(ctx context.Context, t *targetState, src string, emit func(duel.Result) error, deadline time.Time, counted bool) queryOutcome {
-	j, err := s.enqueue(ctx, t, src, emit, deadline, counted, false)
+func (s *Server) runOnce(ctx context.Context, t *targetState, q Query, emit func(duel.Result) error, deadline time.Time, counted bool) queryOutcome {
+	j, err := s.enqueue(ctx, t, q, emit, deadline, counted, false)
 	if err != nil {
 		return queryOutcome{err: err}
 	}
@@ -796,11 +838,11 @@ func (s *Server) runOnce(ctx context.Context, t *targetState, src string, emit f
 // Each attempt buffers its results privately and only the winner's
 // transcript is replayed to the caller, so a pair can never interleave or
 // duplicate output however the race lands.
-func (s *Server) runHedged(ctx context.Context, t *targetState, src string, emit func(duel.Result) error, deadline time.Time) queryOutcome {
+func (s *Server) runHedged(ctx context.Context, t *targetState, q Query, emit func(duel.Result) error, deadline time.Time) queryOutcome {
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	var pbuf []duel.Result
-	pj, err := s.enqueue(pctx, t, src, func(r duel.Result) error {
+	pj, err := s.enqueue(pctx, t, q, func(r duel.Result) error {
 		pbuf = append(pbuf, r)
 		return nil
 	}, deadline, true, false)
@@ -825,7 +867,7 @@ func (s *Server) runHedged(ctx context.Context, t *targetState, src string, emit
 		hctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		hcancel = cancel
-		hj, err = s.enqueue(hctx, t, src, func(r duel.Result) error {
+		hj, err = s.enqueue(hctx, t, q, func(r duel.Result) error {
 			hbuf = append(hbuf, r)
 			return nil
 		}, deadline, false, true)
@@ -898,7 +940,7 @@ func (s *Server) runHedged(ctx context.Context, t *targetState, src string, emit
 // enqueue places one attempt in the queue under admission control. counted
 // attempts carry the query's Admitted/Shed/Drained counts; hedge and retry
 // attempts pass counted=false so a query never counts twice.
-func (s *Server) enqueue(ctx context.Context, t *targetState, src string, emit func(duel.Result) error, deadline time.Time, counted, hedge bool) (*job, error) {
+func (s *Server) enqueue(ctx context.Context, t *targetState, q Query, emit func(duel.Result) error, deadline time.Time, counted, hedge bool) (*job, error) {
 	s.admitMu.RLock()
 	if s.state != stateServing {
 		s.admitMu.RUnlock()
@@ -921,7 +963,7 @@ func (s *Server) enqueue(ctx context.Context, t *targetState, src string, emit f
 		return nil, fmt.Errorf("target %q: %w", t.name, err)
 	}
 	j := jobPool.Get().(*job)
-	j.ctx, j.t, j.src, j.emit = ctx, t, src, emit
+	j.ctx, j.t, j.src, j.node, j.emit = ctx, t, q.Src, q.node, emit
 	j.deadline, j.probe, j.healthProbe, j.hedge, j.counted = deadline, probe, healthProbe, hedge, counted
 	j.enqueuedAt = s.cfg.now()
 	// Count the admission before the enqueue: once the job is in the
@@ -1072,15 +1114,18 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 		return err
 	}
 	ses := ps.ses
-	n, perr := ses.Parse(j.src)
-	if perr != nil {
-		// A parse error never reached the target; it says nothing about
-		// target health, so neither the breaker nor the health score hears
-		// about it.
-		s.releaseProbes(j)
-		retain(j, aff, ps)
-		j.ran = true
-		return perr
+	n := j.node
+	if n == nil {
+		var perr error
+		if n, perr = ses.Parse(j.src); perr != nil {
+			// A parse error never reached the target; it says nothing
+			// about target health, so neither the breaker nor the health
+			// score hears about it.
+			s.releaseProbes(j)
+			retain(j, aff, ps)
+			j.ran = true
+			return perr
+		}
 	}
 
 	mutating := MutatesTargetFor(n, ses.D)
@@ -1259,7 +1304,9 @@ func MutatesTarget(n *ast.Node) bool { return mutatesTarget(n, nil) }
 // A target that declares itself read-only (dbgif.ReadOnly — a core dump,
 // say) cannot be mutated by any query: every write-shaped construct fails
 // with ErrReadOnlyTarget before touching memory. Classifying everything as
-// non-mutating keeps the whole workload on the shared read lock.
+// non-mutating keeps the whole workload on the shared read lock. That makes
+// this a lock mode, not a verdict on the query: routing between replicas
+// uses Query.Mutating, which a read-only target does not change.
 func MutatesTargetFor(n *ast.Node, d dbgif.Debugger) bool {
 	if d != nil && dbgif.ReadOnly(d) {
 		return false

@@ -61,13 +61,38 @@ func (v StreamValue) Line() string {
 // Eval.
 func (s *Server) SubmitStream(ctx context.Context, target, src string, opt SubmitOptions, emit func(StreamValue) error) error {
 	s.stats.streamQueries.Add(1)
+	return s.SubmitContext(ctx, target, src, opt, s.streamTo(emit))
+}
+
+// SubmitPrepared is SubmitStream for a query Prepare parsed: it is admitted
+// and counted exactly like SubmitStream(ctx, target, q.Src, ...), but every
+// attempt evaluates the prepared AST instead of parsing again. A query
+// prepared for a different target — on another server, or before target
+// was registered again — is parsed afresh from q.Src, as SubmitStream
+// would, since its AST holds that other target's C types.
+func (s *Server) SubmitPrepared(ctx context.Context, target string, q *Query, opt SubmitOptions, emit func(StreamValue) error) error {
+	s.stats.streamQueries.Add(1)
+	t, err := s.lookup(target)
+	if err != nil {
+		return err
+	}
+	run := *q
+	if run.t != t {
+		run = Query{Src: q.Src}
+	}
+	return s.submit(ctx, t, run, opt, s.streamTo(emit))
+}
+
+// streamTo adapts a StreamValue callback to the Result callback the
+// evaluation drives, numbering and counting the values.
+func (s *Server) streamTo(emit func(StreamValue) error) func(duel.Result) error {
 	seq := 0
-	return s.SubmitContext(ctx, target, src, opt, func(r duel.Result) error {
+	return func(r duel.Result) error {
 		v := StreamValue{Seq: seq, Sym: r.Sym, Text: r.Text, At: time.Now()}
 		seq++
 		s.stats.streamValues.Add(1)
 		return emit(v)
-	})
+	}
 }
 
 // TimingCSV renders the snapshot's per-query timing aggregates as a CSV
