@@ -206,8 +206,8 @@ type Env struct {
 	cancel atomic.Bool
 	// lastNode tracks the node most recently entered by step, so panic
 	// recovery and timeout errors can report the symbolic expression
-	// under evaluation.
-	lastNode atomic.Pointer[ast.Node]
+	// under evaluation. Only the evaluating goroutine reads it.
+	lastNode *ast.Node
 }
 
 // NewEnv returns a fresh environment over the given debugger, routing all
@@ -288,7 +288,7 @@ func (e *Env) endEval() {
 }
 
 func (e *Env) step(n *ast.Node) error {
-	e.lastNode.Store(n)
+	e.lastNode = n
 	e.Num.Values++
 	e.steps++
 	if e.cancel.Load() {
@@ -336,8 +336,14 @@ func (e *Env) Aliases() []string {
 
 // --- with stack ---
 
-func (e *Env) pushWith(w withEntry) { e.withStack = append(e.withStack, w) }
-func (e *Env) popWith()             { e.withStack = e.withStack[:len(e.withStack)-1] }
+// pushWith pushes an empty entry and returns it for the caller to fill in
+// place. The pointer is valid until the next push.
+func (e *Env) pushWith() *withEntry {
+	e.withStack = append(e.withStack, withEntry{})
+	return &e.withStack[len(e.withStack)-1]
+}
+
+func (e *Env) popWith() { e.withStack = e.withStack[:len(e.withStack)-1] }
 
 // --- name resolution (the paper's fetch) ---
 
@@ -699,62 +705,62 @@ func (e *Env) FormatScalar(v value.Value) (string, error) {
 	return "", fmt.Errorf("duel: cannot format value of type %s", rv.Type)
 }
 
-// makeWithEntry builds the name-resolution entry for one operand of '.' or
-// '->': the original value (for "_"), the opened struct scope, or — for a
-// null/invalid pointer — the lazily-faulting field set.
-func (e *Env) makeWithEntry(u value.Value, arrow bool) (withEntry, error) {
-	entry := withEntry{orig: u}
+// makeWithEntry fills w, a fresh entry (pushWith), with the
+// name-resolution entry for one operand of '.' or '->': the original value
+// (for "_"), the opened struct scope, or — for a null/invalid pointer — the
+// lazily-faulting field set.
+func (e *Env) makeWithEntry(w *withEntry, u value.Value, arrow bool) error {
+	w.orig = u
 	if u.FrameScope > 0 {
-		entry.scope = u
-		entry.hasScope = true
-		return entry, nil
+		w.scope = u
+		w.hasScope = true
+		return nil
 	}
 	if !arrow {
 		if _, ok := ctype.Strip(u.Type).(*ctype.Struct); ok {
-			entry.scope = u
-			entry.hasScope = true
+			w.scope = u
+			w.hasScope = true
 		}
-		return entry, nil
+		return nil
 	}
 	ru, err := e.rval(u)
 	if err != nil {
-		return withEntry{}, err
+		return err
 	}
+	w.orig = ru.WithSym(u.Sym)
 	if ru.IsPoison() {
 		// The read of the pointer itself faulted (ErrorValues). Field
 		// names still resolve — via the statically known pointee type —
 		// but each resolution yields an error value carrying the fault.
-		entry.orig = ru.WithSym(u.Sym)
 		if elem, ok := ctype.PointerElem(ctype.Strip(u.Type)); ok {
 			if est, isStruct := ctype.Strip(elem).(*ctype.Struct); isStruct {
-				entry.badType = est
-				entry.badErr = ru.Err()
+				w.badType = est
+				w.badErr = ru.Err()
 			}
 		}
-		return entry, nil
+		return nil
 	}
-	entry.orig = ru.WithSym(u.Sym)
 	if !ctype.IsPointer(ru.Type) {
-		return withEntry{}, fmt.Errorf("duel: %s is not a pointer (%s); cannot apply ->", e.text(u.Sym), ru.Type)
+		return fmt.Errorf("duel: %s is not a pointer (%s); cannot apply ->", e.text(u.Sym), ru.Type)
 	}
 	elem, _ := ctype.PointerElem(ru.Type)
 	est, isStruct := ctype.Strip(elem).(*ctype.Struct)
 	if !e.validPointer(ru) {
 		if isStruct {
-			entry.badType = est
-			entry.badAddr = ru.AsUint()
+			w.badType = est
+			w.badAddr = ru.AsUint()
 		}
-		return entry, nil
+		return nil
 	}
 	if isStruct {
 		sv, err := e.Ctx.Deref(ru)
 		if err != nil {
-			return withEntry{}, err
+			return err
 		}
-		entry.scope = sv
-		entry.hasScope = true
+		w.scope = sv
+		w.hasScope = true
 	}
-	return entry, nil
+	return nil
 }
 
 // untilStops decides whether e@n stops at value u. For a constant n it
@@ -779,32 +785,32 @@ func (e *Env) untilStops(u value.Value, stopKid *ast.Node, drainCond func(*ast.N
 		}
 		return !w.IsZero(), nil
 	}
-	entry := withEntry{orig: u}
+	w := e.pushWith()
+	defer e.popWith()
+	w.orig = u
 	ru, err := e.rval(u)
 	if err == nil {
 		if _, ok := ctype.Strip(ru.Type).(*ctype.Struct); ok {
-			entry.scope = ru
-			entry.hasScope = true
+			w.scope = ru
+			w.hasScope = true
 		} else if ctype.IsPointer(ru.Type) && e.validPointer(ru) {
 			if sv, derr := e.Ctx.Deref(ru); derr == nil {
 				if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
-					entry.scope = sv
-					entry.hasScope = true
+					w.scope = sv
+					w.hasScope = true
 				}
 			}
 		}
-		entry.orig = ru.WithSym(u.Sym)
+		w.orig = ru.WithSym(u.Sym)
 	}
-	e.pushWith(entry)
-	defer e.popWith()
 	return drainCond(stopKid)
 }
 
 // directField resolves C-style field access u.name / u->name without
 // opening a with-scope (Options.CScoping). "_" still denotes the operand.
 func (e *Env) directField(u value.Value, name string, arrow bool) (value.Value, error) {
-	entry, err := e.makeWithEntry(u, arrow)
-	if err != nil {
+	var entry withEntry
+	if err := e.makeWithEntry(&entry, u, arrow); err != nil {
 		return value.Value{}, err
 	}
 	if name == "_" {

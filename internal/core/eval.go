@@ -84,7 +84,7 @@ func nodeExpr(n *ast.Node) string {
 // exprUnder names the node most recently entered by step (falling back to
 // the evaluation root), for errors raised asynchronously.
 func (e *Env) exprUnder(root *ast.Node) string {
-	if ln := e.lastNode.Load(); ln != nil {
+	if ln := e.lastNode; ln != nil {
 		return nodeExpr(ln)
 	}
 	return nodeExpr(root)
@@ -114,7 +114,7 @@ func EvalContext(ctx context.Context, e *Env, b Backend, n *ast.Node, emit EmitF
 			err = &PanicError{Expr: e.exprUnder(n), Val: p}
 		}
 	}()
-	e.lastNode.Store(nil)
+	e.lastNode = nil
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +68,61 @@ func TestEvalRecoversPanic(t *testing.T) {
 			}
 			if !strings.Contains(pe.Error(), "internal error") {
 				t.Errorf("message %q does not say 'internal error'", pe.Error())
+			}
+		})
+	}
+}
+
+// panicOnce panics on its first target read only.
+type panicOnce struct {
+	*fakedbg.Fake
+	panicked bool
+}
+
+func (p *panicOnce) GetTargetBytes(addr uint64, n int) ([]byte, error) {
+	if !p.panicked {
+		p.panicked = true
+		panic("panicOnce: read of target memory")
+	}
+	return p.Fake.GetTargetBytes(addr, n)
+}
+
+// TestEvalAfterRecoveredPanic: a panic in the substrate leaves the session
+// usable, so the memory accessor must not stay locked after it.
+func TestEvalAfterRecoveredPanic(t *testing.T) {
+	for _, backend := range BackendNames() {
+		t.Run(backend, func(t *testing.T) {
+			env := NewEnv(&panicOnce{Fake: newFake(t)}, DefaultOptions())
+			n, err := parser.Parse("x[2]+1", env.Mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := GetBackend(backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pe *PanicError
+			if err := Eval(env, b, n, func(value.Value) error { return nil }); !errors.As(err, &pe) {
+				t.Fatalf("error = %v, want *PanicError", err)
+			}
+			// The second evaluation runs on its own goroutine so that a
+			// locked accessor fails the test instead of hanging it.
+			done := make(chan error, 1)
+			go func() {
+				done <- Eval(env, b, n, func(v value.Value) error {
+					if v.AsInt() != 21 {
+						return fmt.Errorf("x[2]+1 = %d, want 21", v.AsInt())
+					}
+					return nil
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("after the panic: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the evaluation after a recovered panic hangs")
 			}
 		})
 	}

@@ -930,13 +930,13 @@ func (m *machine) evalWith(n *ast.Node, st *mstate) (value.Value, bool, error) {
 		if !ok {
 			return value.Value{}, false, nil
 		}
-		entry, err := e.makeWithEntry(u, arrow)
-		if err != nil {
+		mark := len(e.withStack)
+		if err := e.makeWithEntry(e.pushWith(), u, arrow); err != nil {
+			e.popWith()
 			return value.Value{}, false, err
 		}
 		st.val = u
-		st.withMark = len(e.withStack)
-		e.pushWith(entry)
+		st.withMark = mark
 		st.pushed = true
 		st.state = 1
 	}
@@ -1014,13 +1014,13 @@ func (m *machine) expandChildren(n *ast.Node, st *mstate, cur value.Value) ([]va
 	if err != nil {
 		return nil, err
 	}
-	entry := withEntry{orig: cur}
-	if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
-		entry.scope = sv
-		entry.hasScope = true
-	}
-	e.pushWith(entry)
+	w := e.pushWith()
 	defer e.popWith()
+	w.orig = cur
+	if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
+		w.scope = sv
+		w.hasScope = true
+	}
 	st.kids = st.kids[:0]
 	for {
 		w, ok, err := m.eval(n.Kids[1])

@@ -710,17 +710,70 @@ func (e *Env) evalWith(n *ast.Node, yield EmitFn) error {
 	inner := func(w value.Value) error {
 		return yield(w.WithSym(e.withSym(usym, symOp, w.Sym)))
 	}
+	ms := e.newMemberStep(n.Kids[1])
 	return e.evalPush(n.Kids[0], func(u value.Value) error {
-		entry, err := e.makeWithEntry(u, arrow)
-		if err != nil {
+		w := e.pushWith()
+		if err := e.makeWithEntry(w, u, arrow); err != nil {
+			e.popWith()
 			return err
 		}
-		e.pushWith(entry)
 		usym = u.Sym
-		werr := e.evalPush(n.Kids[1], inner)
+		werr := e.evalScoped(&ms, w, inner)
 		e.popWith()
 		return werr
 	})
+}
+
+// memberStep is the per-evaluation state of the right side of a '.', '->'
+// or '-->' node: when it is a plain member name, the member resolved for
+// the struct type the node opened last. It lives in the node's evaluation
+// closure, never on the AST, which several goroutines may evaluate at once.
+type memberStep struct {
+	kid    *ast.Node
+	member bool // kid is a member name; "_" and C scoping keep the general path
+	st     *ctype.Struct
+	f      *ctype.Field // kid's member of st; nil when st has none
+}
+
+func (e *Env) newMemberStep(kid *ast.Node) memberStep {
+	return memberStep{kid: kid, member: kid.Op == ast.OpName && kid.Name != "_" && !e.Opts.CScoping}
+}
+
+// field returns the member of the struct lvalue w opened, resolving it
+// once per struct type. ok is false when fetch must resolve the name: a
+// frame scope, a bad pointer or error value, a struct rvalue, no scope, or
+// no such member.
+func (m *memberStep) field(w *withEntry) (*ctype.Field, bool) {
+	if !m.member || !w.hasScope || !w.scope.IsLvalue || w.scope.FrameScope > 0 {
+		return nil, false
+	}
+	st, ok := ctype.Strip(w.scope.Type).(*ctype.Struct)
+	if !ok || st.Incomplete {
+		return nil, false
+	}
+	if st != m.st {
+		m.st = st
+		m.f, _ = st.Field(m.kid.Name)
+	}
+	return m.f, m.f != nil
+}
+
+// evalScoped evaluates the right side of a with node in the scope of the
+// entry w just pushed. A member name builds the field lvalue directly,
+// with the step, the lookup and the atom fetch would count; the entry
+// stays pushed while the value flows downstream.
+func (e *Env) evalScoped(m *memberStep, w *withEntry, yield EmitFn) error {
+	f, ok := m.field(w)
+	if !ok {
+		return e.evalPush(m.kid, yield)
+	}
+	if err := e.step(m.kid); err != nil {
+		return err
+	}
+	e.Num.Lookups++
+	v := value.MemberLvalue(w.scope.Addr, f)
+	v.Sym = e.atom(m.kid.Name)
+	return yield(v)
 }
 
 // evalUntil implements e@n: produce e's values up to (not including) the
@@ -865,6 +918,7 @@ func (e *Env) evalExpand(n *ast.Node, yield EmitFn) error {
 		kids = append(kids, rw.WithSym(e.pathStep(cur.Sym, w.Sym)))
 		return nil
 	}
+	ms := e.newMemberStep(n.Kids[1])
 	return e.evalPush(n.Kids[0], func(u value.Value) error {
 		ru, err := e.rval(u)
 		if err != nil {
@@ -900,14 +954,14 @@ func (e *Env) evalExpand(n *ast.Node, yield EmitFn) error {
 			if err != nil {
 				return err
 			}
-			entry := withEntry{orig: cur}
+			w := e.pushWith()
+			w.orig = cur
 			if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
-				entry.scope = sv
-				entry.hasScope = true
+				w.scope = sv
+				w.hasScope = true
 			}
-			e.pushWith(entry)
 			kids = kids[:0]
-			kerr := e.evalPush(n.Kids[1], addKid)
+			kerr := e.evalScoped(&ms, w, addKid)
 			e.popWith()
 			if kerr != nil {
 				return kerr

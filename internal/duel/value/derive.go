@@ -3,6 +3,7 @@ package value
 import (
 	"bytes"
 	"strconv"
+	"sync"
 	"unsafe"
 )
 
@@ -68,6 +69,15 @@ const (
 	chunkMask  = chunkSize - 1
 )
 
+type chunk = [chunkSize]symNode
+
+// chunkPool recycles the node chunks a Reset drops, so an evaluation as
+// large as the last one allocates none. A node holds no pointers, and add
+// writes a node before any handle can read it, so a recycled chunk needs
+// no clearing. The pool empties across garbage collections, so an idle
+// store keeps only its first chunk.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
 // SymStore records the derivations of one evaluation. Each composition
 // appends O(1) bytes: a node in a fixed-size chunk, so growing never copies
 // (and never moves) a node. Atom texts are kept as strings, not copied; a
@@ -78,13 +88,14 @@ const (
 // operators share a slot, and evict each other on every element, in some
 // builds and not in others.
 //
-// Reset starts a new generation and keeps one chunk. A handle from an
-// earlier generation (of the last 65,535) panics when rendered instead of
-// printing another value's text. The zero value is ready to use. A
-// SymStore is not safe for concurrent use; each evaluator Env owns one.
+// Reset starts a new generation, keeps one chunk and returns the others to
+// a pool shared by all stores. A handle from an earlier generation (of the
+// last 65,535) panics when rendered instead of printing another value's
+// text. The zero value is ready to use. A SymStore is not safe for
+// concurrent use; each evaluator Env owns one.
 type SymStore struct {
 	gen    uint16
-	chunks [][]symNode
+	chunks []*chunk
 	n      uint32 // nodes in use
 	texts  []string
 	cache  [1 << cacheBits][2]textSlot
@@ -116,6 +127,9 @@ func (st *SymStore) Reset() {
 	}
 	st.gen++
 	if len(st.chunks) > 1 {
+		for _, c := range st.chunks[1:] {
+			chunkPool.Put(c)
+		}
 		clear(st.chunks[1:])
 		st.chunks = st.chunks[:1]
 	}
@@ -142,7 +156,7 @@ func (st *SymStore) add(kind symKind, prec int, nd symNode) Sym {
 	i := st.n
 	c := int(i >> chunkShift)
 	if c == len(st.chunks) {
-		st.chunks = append(st.chunks, make([]symNode, chunkSize))
+		st.chunks = append(st.chunks, chunkPool.Get().(*chunk))
 	}
 	st.chunks[c][i&chunkMask] = nd
 	st.n++

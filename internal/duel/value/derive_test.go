@@ -98,3 +98,28 @@ func TestSymStoreTextSlots(t *testing.T) {
 		t.Errorf("%d words used 100 times each took %d text slots, want %d", len(words), len(st.texts), len(words))
 	}
 }
+
+// TestSymStoreChunkReuse checks that Reset recycles the node chunks it
+// drops: after one large evaluation, a second one of the same size
+// allocates no chunk, and the store itself keeps only its first chunk.
+func TestSymStoreChunkReuse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts: skipped under -race (sync.Pool drops items at random)")
+	}
+	var st SymStore
+	eval := func() {
+		st.Reset()
+		x := st.Text("x")
+		for i := 0; i < 40*chunkSize; i++ {
+			st.Index(x, st.Int(int64(i)))
+		}
+	}
+	eval()
+	if allocs := testing.AllocsPerRun(5, eval); allocs != 0 {
+		t.Errorf("an evaluation as large as the last one made %.1f allocations, want 0", allocs)
+	}
+	st.Reset()
+	if len(st.chunks) != 1 {
+		t.Errorf("an idle store holds %d chunks, want 1", len(st.chunks))
+	}
+}

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 
 	"duel/internal/ctype"
@@ -29,8 +30,11 @@ func (c *Ctx) evalErrf(v Value, format string, args ...any) error {
 // (the generator-level semantics — which operand sequences to enumerate —
 // live in the evaluator; this is the paper's apply()).
 func (c *Ctx) Binary(op ast.Op, a, b Value) (Value, error) {
-	if p, ok := PoisonOf(a, b); ok {
-		return p, nil
+	if a.IsPoison() {
+		return a, nil
+	}
+	if b.IsPoison() {
+		return b, nil
 	}
 	switch op {
 	case ast.OpPlus:
@@ -94,8 +98,26 @@ func (c *Ctx) mulDiv(op ast.Op, a, b Value) (Value, error) {
 	return c.arith(op, a, b)
 }
 
+// sameWideInt returns the type of a and b when both have the same type, an
+// integer type of rank int or above. The usual arithmetic conversions are the
+// identity there, so arith and compare skip them.
+func sameWideInt(a, b Value) (*ctype.Basic, bool) {
+	if a.Type != b.Type {
+		return nil, false
+	}
+	t, ok := ctype.Strip(a.Type).(*ctype.Basic)
+	if !ok {
+		return nil, false
+	}
+	k := t.Kind() // the kinds from int to unsigned long long are contiguous
+	return t, ctype.KindInt <= k && k <= ctype.KindULongLong
+}
+
 // arith applies +, -, *, / under the usual arithmetic conversions.
 func (c *Ctx) arith(op ast.Op, a, b Value) (Value, error) {
+	if t, ok := sameWideInt(a, b); ok {
+		return c.intArith(op, t, a, b)
+	}
 	t, err := c.UsualArith(a, b)
 	if err != nil {
 		return Value{}, err
@@ -126,7 +148,12 @@ func (c *Ctx) arith(op ast.Op, a, b Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	x, y := ca.AsUint(), cb.AsUint()
+	return c.intArith(op, t, ca, cb)
+}
+
+// intArith applies +, -, *, / to a and b, both of integer type t.
+func (c *Ctx) intArith(op ast.Op, t ctype.Type, a, b Value) (Value, error) {
+	x, y := a.AsUint(), b.AsUint()
 	var r uint64
 	switch op {
 	case ast.OpPlus:
@@ -212,8 +239,11 @@ func (c *Ctx) shift(op ast.Op, a, b Value) (Value, error) {
 // evaluator inspects the truth and yields the left operand, per the paper
 // ("e1 >? e2 returns e1 if e1 is greater than e2 and nothing otherwise").
 func (c *Ctx) compare(op ast.Op, a, b Value) (Value, error) {
+	if t, ok := sameWideInt(a, b); ok {
+		return c.cmpResult(op, cmpInts(ctype.IsSigned(t), t.Size(), a.AsUint(), b.AsUint())), nil
+	}
 	at, bt := ctype.Strip(a.Type), ctype.Strip(b.Type)
-	var cmp int // -1, 0, +1
+	var order int // -1, 0, +1
 	switch {
 	case ctype.IsArithmetic(at) && ctype.IsArithmetic(bt):
 		t, err := c.UsualArith(a, b)
@@ -224,62 +254,56 @@ func (c *Ctx) compare(op ast.Op, a, b Value) (Value, error) {
 			x, y := a.AsFloat(), b.AsFloat()
 			switch {
 			case x < y:
-				cmp = -1
+				order = -1
 			case x > y:
-				cmp = 1
+				order = 1
 			}
 		} else {
 			ca, _ := c.Convert(a, t)
 			cb, _ := c.Convert(b, t)
-			if ctype.IsSigned(t) {
-				x, y := signExt(ca.AsUint(), t.Size()), signExt(cb.AsUint(), t.Size())
-				switch {
-				case x < y:
-					cmp = -1
-				case x > y:
-					cmp = 1
-				}
-			} else {
-				x, y := ca.AsUint(), cb.AsUint()
-				switch {
-				case x < y:
-					cmp = -1
-				case x > y:
-					cmp = 1
-				}
-			}
+			order = cmpInts(ctype.IsSigned(t), t.Size(), ca.AsUint(), cb.AsUint())
 		}
 	case (ctype.IsPointer(at) || ctype.IsInteger(at)) && (ctype.IsPointer(bt) || ctype.IsInteger(bt)):
 		// Pointer comparisons, including against 0 (NULL).
-		x, y := a.AsUint(), b.AsUint()
-		switch {
-		case x < y:
-			cmp = -1
-		case x > y:
-			cmp = 1
-		}
+		order = cmp.Compare(a.AsUint(), b.AsUint())
 	default:
 		return Value{}, c.evalErrf(a, "cannot compare %s with %s", a.Type, b.Type)
 	}
+	return c.cmpResult(op, order), nil
+}
+
+// cmpInts compares x and y as integers of the given signedness and byte
+// size.
+func cmpInts(signed bool, size int, x, y uint64) int {
+	if signed {
+		return cmp.Compare(signExt(x, size), signExt(y, size))
+	}
+	return cmp.Compare(x, y)
+}
+
+// cmpResult is the int 1 or 0 that comparison op yields for order, the
+// three-way result of comparing its operands.
+func (c *Ctx) cmpResult(op ast.Op, order int) Value {
 	var truth bool
 	switch op {
 	case ast.OpLt, ast.OpIfLt:
-		truth = cmp < 0
+		truth = order < 0
 	case ast.OpGt, ast.OpIfGt:
-		truth = cmp > 0
+		truth = order > 0
 	case ast.OpLe, ast.OpIfLe:
-		truth = cmp <= 0
+		truth = order <= 0
 	case ast.OpGe, ast.OpIfGe:
-		truth = cmp >= 0
+		truth = order >= 0
 	case ast.OpEq, ast.OpIfEq:
-		truth = cmp == 0
+		truth = order == 0
 	case ast.OpNe, ast.OpIfNe:
-		truth = cmp != 0
+		truth = order != 0
 	}
+	var u uint64
 	if truth {
-		return MakeInt(c.Arch.Int, 1), nil
+		u = 1
 	}
-	return MakeInt(c.Arch.Int, 0), nil
+	return Value{Type: c.Arch.Int, Addr: u, size: uint8(c.Arch.Int.Size())}
 }
 
 func signExt(u uint64, size int) int64 {
@@ -419,9 +443,7 @@ func (c *Ctx) Field(v Value, name string) (Value, error) {
 		return Value{}, c.evalErrf(v, "%s has no member named %q", v.Type, name)
 	}
 	if v.IsLvalue {
-		out := Lvalue(f.Type, v.Addr+uint64(f.Off))
-		out.BitOff, out.BitWidth = int8(f.BitOff), int8(f.BitWidth)
-		return out, nil
+		return MemberLvalue(v.Addr, f), nil
 	}
 	size := ctype.Strip(f.Type).Size()
 	vb := v.Bytes()
@@ -439,6 +461,12 @@ func (c *Ctx) Field(v Value, name string) (Value, error) {
 		b = mem.EncodeUint(u, size)
 	}
 	return FromBytes(f.Type, b), nil
+}
+
+// MemberLvalue returns the lvalue of member f of the struct or union at
+// addr, a bitfield included.
+func MemberLvalue(addr uint64, f *ctype.Field) Value {
+	return Value{Type: f.Type, IsLvalue: true, Addr: addr + uint64(f.Off), BitOff: int8(f.BitOff), BitWidth: int8(f.BitWidth)}
 }
 
 // HasField reports whether v is a struct/union with a member called name.

@@ -377,10 +377,14 @@ func (a *Accessor) interruptedErr(op Op, addr uint64, n int) error {
 // the remainder of a sleep it started before the interrupt landed — and
 // surfaces the raw fault, NOT an exhaustion: an interrupted schedule was
 // abandoned, not spent, and must not invite a higher-level retry.
-func (a *Accessor) withRetry(do func() error) error {
+func (a *Accessor) withRetry(do func() error) error { return a.retry(do(), do) }
+
+// retry is withRetry after do's first attempt returned err. A nil or
+// non-transient err returns at once, so a call that does not fault never
+// enters the schedule.
+func (a *Accessor) retry(err error, do func() error) error {
 	backoff := a.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
-		err := do()
 		if err == nil || !IsTransient(err) {
 			return err
 		}
@@ -402,6 +406,7 @@ func (a *Accessor) withRetry(do func() error) error {
 		if backoff *= 2; backoff > DefaultRetryCap {
 			backoff = DefaultRetryCap
 		}
+		err = do()
 	}
 }
 
@@ -437,7 +442,7 @@ func (a *Accessor) flushLocked() {
 // with the host debuggers' own returns, callers must not modify the bytes.
 func (a *Accessor) GetTargetBytes(addr uint64, n int) ([]byte, error) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	defer a.mu.Unlock() // a substrate that panics must not leave the session locked
 	a.stats.Reads++
 	if n > 0 {
 		a.stats.ReadBytes += int64(n)
@@ -484,18 +489,22 @@ func (a *Accessor) GetTargetBytes(addr uint64, n int) ([]byte, error) {
 	return out, nil
 }
 
-// hostRead issues one GetTargetBytes round-trip to the host debugger,
-// retrying transient faults.
+// hostRead issues one GetTargetBytes round-trip to the host debugger. A
+// read that does not fault runs straight through; a transient fault starts
+// the retry schedule.
 func (a *Accessor) hostRead(addr uint64, n int) ([]byte, error) {
-	var b []byte
-	err := a.withRetry(func() error {
-		a.stats.HostReads++
-		var rerr error
-		b, rerr = a.Debugger.GetTargetBytes(addr, n)
-		return rerr
-	})
+	a.stats.HostReads++
+	b, err := a.Debugger.GetTargetBytes(addr, n)
 	if err != nil {
-		return nil, err
+		err = a.retry(err, func() error {
+			a.stats.HostReads++
+			var rerr error
+			b, rerr = a.Debugger.GetTargetBytes(addr, n)
+			return rerr
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	a.stats.HostBytes += int64(len(b))
 	return b, nil
