@@ -51,7 +51,8 @@ func TestSubstrateDifferential(t *testing.T) {
 }
 
 // The shared debuggee: int x[10], a 5-node linked list at head, and a
-// function twice(k) = 2*k.
+// function twice(k) = 2*k. The fakedbg build also has add(a, b) = a+b, a
+// two-parameter function for the evaluator fuzzer's calls.
 var (
 	diffArray = []int64{3, -1, 4, -1, 5, 9, -2, 6, 0, 7}
 	diffList  = []int64{2, 7, 1, 7, 8}
@@ -93,6 +94,12 @@ func buildFakeDebuggee(t *testing.T) dbgif.Debugger {
 	f.Vars["twice"] = dbgif.VarInfo{Name: "twice", Type: ft, Addr: 0x9000}
 	f.Funcs[0x9000] = func(args []dbgif.Value) (dbgif.Value, error) {
 		v := 2 * mem.DecodeInt(args[0].Bytes)
+		return dbgif.Value{Type: a.Int, Bytes: mem.EncodeUint(uint64(v), 4)}, nil
+	}
+	ft2 := a.FuncOf(a.Int, []ctype.Type{a.Int, a.Int}, false)
+	f.Vars["add"] = dbgif.VarInfo{Name: "add", Type: ft2, Addr: 0x9100}
+	f.Funcs[0x9100] = func(args []dbgif.Value) (dbgif.Value, error) {
+		v := mem.DecodeInt(args[0].Bytes) + mem.DecodeInt(args[1].Bytes)
 		return dbgif.Value{Type: a.Int, Bytes: mem.EncodeUint(uint64(v), 4)}, nil
 	}
 	return f

@@ -29,7 +29,7 @@ import (
 //	go test -run=NONE -fuzz=FuzzEvalDifferential .
 //
 // The seed corpus (FuzzParse's seeds plus catalog-style queries over the
-// fixture's symbols x, head, twice) runs on every plain `go test`.
+// fixture's symbols x, head, twice, add) runs on every plain `go test`.
 func FuzzEvalDifferential(f *testing.F) {
 	seeds := []string{
 		// Parser fuzzer seeds: mostly unresolvable symbols, exercising the
@@ -88,6 +88,14 @@ func FuzzEvalDifferential(f *testing.F) {
 		"((int *) 16)[..3] >? 0",
 		"(0..9999) + 3",
 		"(0..9999) >? 3",
+		// Calls of the two-parameter add: the cartesian product of two
+		// generator arguments (machine's odometer), a struct argument to
+		// a short call (arity is checked before conversion), a pointer
+		// argument, and a short call.
+		"add(x[..3], x[2..4])",
+		"add(*head)",
+		"add(head, 1)",
+		"add(1)",
 	}
 	for _, op := range []string{"+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^",
 		"<", ">", "<=", ">=", "==", "!=", "<?", ">?", "<=?", ">=?", "==?", "!=?"} {

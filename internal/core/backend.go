@@ -45,73 +45,3 @@ func BackendNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// opPrec maps binary operators to their symbolic-display precedence.
-func opPrec(op ast.Op) int {
-	switch op {
-	case ast.OpMultiply, ast.OpDivide, ast.OpModulo:
-		return value.PrecMultip
-	case ast.OpPlus, ast.OpMinus:
-		return value.PrecAdditive
-	case ast.OpShl, ast.OpShr:
-		return value.PrecShift
-	case ast.OpLt, ast.OpGt, ast.OpLe, ast.OpGe,
-		ast.OpIfLt, ast.OpIfGt, ast.OpIfLe, ast.OpIfGe:
-		return value.PrecRelation
-	case ast.OpEq, ast.OpNe, ast.OpIfEq, ast.OpIfNe:
-		return value.PrecEquality
-	case ast.OpBitAnd:
-		return value.PrecBitAnd
-	case ast.OpBitXor:
-		return value.PrecBitXor
-	case ast.OpBitOr:
-		return value.PrecBitOr
-	case ast.OpAndAnd:
-		return value.PrecAndAnd
-	case ast.OpOrOr:
-		return value.PrecOrOr
-	case ast.OpAssign, ast.OpAddAssign, ast.OpSubAssign, ast.OpMulAssign,
-		ast.OpDivAssign, ast.OpModAssign, ast.OpAndAssign, ast.OpOrAssign,
-		ast.OpXorAssign, ast.OpShlAssign, ast.OpShrAssign:
-		return value.PrecAssign
-	case ast.OpTo, ast.OpUntil:
-		return value.PrecRange
-	}
-	return value.PrecAtom
-}
-
-// compoundBase maps a compound-assignment operator to its arithmetic base.
-func compoundBase(op ast.Op) ast.Op {
-	switch op {
-	case ast.OpAddAssign:
-		return ast.OpPlus
-	case ast.OpSubAssign:
-		return ast.OpMinus
-	case ast.OpMulAssign:
-		return ast.OpMultiply
-	case ast.OpDivAssign:
-		return ast.OpDivide
-	case ast.OpModAssign:
-		return ast.OpModulo
-	case ast.OpAndAssign:
-		return ast.OpBitAnd
-	case ast.OpOrAssign:
-		return ast.OpBitOr
-	case ast.OpXorAssign:
-		return ast.OpBitXor
-	case ast.OpShlAssign:
-		return ast.OpShl
-	case ast.OpShrAssign:
-		return ast.OpShr
-	}
-	return ast.OpInvalid
-}
-
-// callSymName names a callee in error messages even when symbolic values
-// are disabled.
-func callSymName(s string) string {
-	if s == "" {
-		return "<target function>"
-	}
-	return s
-}

@@ -6,14 +6,17 @@
 // value of the left one, comparisons yield their left operand, with/dfs
 // manipulate a name-resolution stack, and so on).
 //
-// Two interchangeable backends realize the same semantics:
+// Each node kind is split in two. Its semantics — what the node computes
+// from its operand values — is written once, in sem.go. Its control — how
+// the operand values are pulled — belongs to one of two drivers:
 //
 //   - push: a yield-callback evaluator (idiomatic Go; the default and the
 //     production evaluator),
 //   - machine: the paper's explicit per-node state/NOVALUE state machine,
 //     kept as the reference oracle.
 //
-// Differential tests check that the backends agree value-for-value.
+// Differential tests check that the drivers agree value-for-value; the
+// paper's catalog and the semantics tests check what they share.
 package core
 
 import (
@@ -103,7 +106,7 @@ type Options struct {
 	// Trace, when non-nil, makes the machine backend log every eval call
 	// in the style of the paper's §Semantics walkthrough of
 	// (1..3)+(5,9): one line per produced value (or NOVALUE) per node,
-	// indented by recursion depth. Other backends ignore it.
+	// indented by recursion depth. push ignores it.
 	Trace io.Writer
 }
 
@@ -481,12 +484,6 @@ func (e *Env) withSym(base value.Sym, op string, inner value.Sym) value.Sym {
 	return e.syms.With(base, op, inner)
 }
 
-// groupSym handles the symbolic value of a parenthesized expression: it
-// passes through unchanged, because symbolic composition re-inserts
-// parentheses from the recorded precedence exactly where they are needed
-// ("6*8" stays "6*8"; "x+1" under * becomes "(x+1)*2").
-func (e *Env) groupSym(s value.Sym) value.Sym { return s }
-
 // pathRoot is the path of the root of a --> expansion.
 func (e *Env) pathRoot(root value.Sym) value.Sym {
 	if !e.Opts.Symbolic {
@@ -639,24 +636,6 @@ func (e *Env) rval(v value.Value) (value.Value, error) {
 	return rv, err
 }
 
-// sizeofValue measures a produced value for sizeof(expr), reporting the
-// contained fault of an error value instead of a size.
-func sizeofValue(u value.Value) (int, error) {
-	if u.IsPoison() {
-		return 0, u.Err()
-	}
-	return ctype.Strip(u.Type).Size(), nil
-}
-
-// sumOperand checks one +/ operand, reporting the contained fault of an
-// error value (a reduction cannot produce a total with an element missing).
-func sumOperand(ru value.Value) error {
-	if ru.IsPoison() {
-		return ru.Err()
-	}
-	return nil
-}
-
 // validPointer reports whether pointer rvalue p is non-null and points to
 // readable memory of its pointee's size (the paper: "until a NULL pointer
 // or an invalid pointer terminates the sequence").
@@ -703,144 +682,4 @@ func (e *Env) FormatScalar(v value.Value) (string, error) {
 		return strconv.FormatUint(rv.AsUint(), 10), nil
 	}
 	return "", fmt.Errorf("duel: cannot format value of type %s", rv.Type)
-}
-
-// makeWithEntry fills w, a fresh entry (pushWith), with the
-// name-resolution entry for one operand of '.' or '->': the original value
-// (for "_"), the opened struct scope, or — for a null/invalid pointer — the
-// lazily-faulting field set.
-func (e *Env) makeWithEntry(w *withEntry, u value.Value, arrow bool) error {
-	w.orig = u
-	if u.FrameScope > 0 {
-		w.scope = u
-		w.hasScope = true
-		return nil
-	}
-	if !arrow {
-		if _, ok := ctype.Strip(u.Type).(*ctype.Struct); ok {
-			w.scope = u
-			w.hasScope = true
-		}
-		return nil
-	}
-	ru, err := e.rval(u)
-	if err != nil {
-		return err
-	}
-	w.orig = ru.WithSym(u.Sym)
-	if ru.IsPoison() {
-		// The read of the pointer itself faulted (ErrorValues). Field
-		// names still resolve — via the statically known pointee type —
-		// but each resolution yields an error value carrying the fault.
-		if elem, ok := ctype.PointerElem(ctype.Strip(u.Type)); ok {
-			if est, isStruct := ctype.Strip(elem).(*ctype.Struct); isStruct {
-				w.badType = est
-				w.badErr = ru.Err()
-			}
-		}
-		return nil
-	}
-	if !ctype.IsPointer(ru.Type) {
-		return fmt.Errorf("duel: %s is not a pointer (%s); cannot apply ->", e.text(u.Sym), ru.Type)
-	}
-	elem, _ := ctype.PointerElem(ru.Type)
-	est, isStruct := ctype.Strip(elem).(*ctype.Struct)
-	if !e.validPointer(ru) {
-		if isStruct {
-			w.badType = est
-			w.badAddr = ru.AsUint()
-		}
-		return nil
-	}
-	if isStruct {
-		sv, err := e.Ctx.Deref(ru)
-		if err != nil {
-			return err
-		}
-		w.scope = sv
-		w.hasScope = true
-	}
-	return nil
-}
-
-// untilStops decides whether e@n stops at value u. For a constant n it
-// compares u == n; otherwise it opens u's scope and asks drainCond to
-// evaluate the condition node, reporting whether any value was non-zero.
-func (e *Env) untilStops(u value.Value, stopKid *ast.Node, drainCond func(*ast.Node) (bool, error)) (bool, error) {
-	if stopKid.Op == ast.OpConst || stopKid.Op == ast.OpFConst {
-		ru, err := e.rval(u)
-		if err != nil {
-			return false, err
-		}
-		var stop value.Value
-		if stopKid.Op == ast.OpConst {
-			stop = e.constValue(stopKid)
-		} else {
-			stop = value.MakeFloat(e.Ctx.Arch.Double, stopKid.Float)
-		}
-		e.Num.Applies++
-		w, err := e.Ctx.Binary(ast.OpEq, ru, stop)
-		if err != nil {
-			return false, err
-		}
-		return !w.IsZero(), nil
-	}
-	w := e.pushWith()
-	defer e.popWith()
-	w.orig = u
-	ru, err := e.rval(u)
-	if err == nil {
-		if _, ok := ctype.Strip(ru.Type).(*ctype.Struct); ok {
-			w.scope = ru
-			w.hasScope = true
-		} else if ctype.IsPointer(ru.Type) && e.validPointer(ru) {
-			if sv, derr := e.Ctx.Deref(ru); derr == nil {
-				if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
-					w.scope = sv
-					w.hasScope = true
-				}
-			}
-		}
-		w.orig = ru.WithSym(u.Sym)
-	}
-	return drainCond(stopKid)
-}
-
-// directField resolves C-style field access u.name / u->name without
-// opening a with-scope (Options.CScoping). "_" still denotes the operand.
-func (e *Env) directField(u value.Value, name string, arrow bool) (value.Value, error) {
-	var entry withEntry
-	if err := e.makeWithEntry(&entry, u, arrow); err != nil {
-		return value.Value{}, err
-	}
-	if name == "_" {
-		return entry.orig, nil
-	}
-	if entry.badType != nil {
-		if _, ok := entry.badType.Field(name); ok {
-			return e.badFieldRef(&entry, name)
-		}
-	}
-	if entry.hasScope {
-		if entry.scope.FrameScope > 0 {
-			if vi, ok := e.Ctx.D.FrameVariable(int(entry.scope.FrameScope)-1, name); ok {
-				lv := value.Lvalue(vi.Type, vi.Addr)
-				lv.Sym = e.atom(name)
-				return lv, nil
-			}
-			return value.Value{}, fmt.Errorf("duel: no local %q in frame %d", name, entry.scope.FrameScope-1)
-		}
-		f, err := e.Ctx.Field(entry.scope, name)
-		if err != nil {
-			return value.Value{}, err
-		}
-		f.Sym = e.atom(name)
-		return f, nil
-	}
-	return value.Value{}, fmt.Errorf("duel: %s has no member %q", e.text(u.Sym), name)
-}
-
-// cDirectField reports whether the with node should use C field semantics.
-func (e *Env) cDirectField(kid *ast.Node) bool {
-	return e.Opts.CScoping && kid.Op == ast.OpName
 }

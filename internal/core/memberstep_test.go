@@ -112,8 +112,8 @@ func evalLines(t *testing.T, d dbgif.Debugger, driver, src string, opts core.Opt
 }
 
 // TestMemberStep pins what a '.', '->' or '-->' whose right side is a
-// member name produces on both drivers. push resolves such a member once
-// per node and struct type and builds the field directly; every case that
+// member name produces on both drivers. Both resolve such a member once
+// per node and struct type and build the field directly; every case that
 // must still go through the name lookup is here too.
 func TestMemberStep(t *testing.T) {
 	errorValues := core.DefaultOptions()
@@ -172,8 +172,8 @@ func TestMemberStep(t *testing.T) {
 }
 
 // TestMemberStepCounts pins the work of a list walk on both drivers: one
-// step, one lookup and one atom per member step, the figures push had
-// before it resolved members once per node.
+// step, one lookup and one atom per member step, the figures the drivers
+// had when they resolved every member name through fetch.
 func TestMemberStepCounts(t *testing.T) {
 	const n = 100
 	d, err := scenarios.BuildLongList(n)

@@ -403,3 +403,68 @@ func TestMutationDuringSuspendedTraversal(t *testing.T) {
 		}
 	}
 }
+
+// errorFake is newStructFake plus sum3(int, int, int) = 100a+10b+c.
+func errorFake(tb testing.TB) *fakedbg.Fake {
+	f := newStructFake(tb)
+	a := f.A
+	ft := a.FuncOf(a.Int, []ctype.Type{a.Int, a.Int, a.Int}, false)
+	f.Vars["sum3"] = dbgif.VarInfo{Name: "sum3", Type: ft, Addr: 0x9100}
+	f.Funcs[0x9100] = func(args []dbgif.Value) (dbgif.Value, error) {
+		return dbgif.Value{Type: a.Int, Bytes: value.MakeInt(a.Int, 0).Bytes()}, nil
+	}
+	return f
+}
+
+// TestErrorPaths pins the exact text of the evaluator's own errors on
+// every driver. The drivers share one semantics, so a wrong message there
+// shows up in no differential; this table is its oracle.
+func TestErrorPaths(t *testing.T) {
+	cases := []struct {
+		src, want string
+		maxOpen   int // Options.MaxOpenRange when non-zero
+	}{
+		{src: "k(1)", want: "duel: k is not a function (int)"},
+		{src: "(s, s)(1)", want: "duel: s is not a function (struct pair)"},
+		{src: "(1..3)[[s]]", want: "duel: [[...]] index s is not an integer (struct pair)"},
+		{src: "(1..3)[[1.5]]", want: "duel: [[...]] index 1.5 is not an integer (double)"},
+		{src: "(1..3)[[-1]]", want: "duel: [[...]] index -1 is negative"},
+		{src: "frame(1, 2)", want: "duel: frame() takes exactly one argument"},
+		{src: "frame()", want: "duel: frame() takes exactly one argument"},
+		{src: "while (1) 0", want: "duel: loop exceeded 10 iterations", maxOpen: 10},
+		{src: "for (;;) 0", want: "duel: loop exceeded 10 iterations", maxOpen: 10},
+		{src: "1 = 2", want: "duel: 1 is not an lvalue"},
+		{src: "(k, 3) += 1", want: "duel: 3 is not an lvalue"},
+		{src: "sizeof (1..0)", want: "duel: sizeof operand produced no values"},
+		{src: "sp-->a", want: "duel: --> step a is not a pointer (int)"},
+		{src: "sp-->>b", want: "duel: --> step b is not a pointer (int)"},
+		{src: "k-->a", want: "duel: k is not a pointer (int); cannot expand with -->"},
+		{src: "+/s", want: "duel: +/ cannot sum values of type struct pair"},
+		{src: "+/(1, sp)", want: "duel: +/ cannot sum values of type struct pair *"},
+		{src: "1..2.5", want: "duel: range bound 2.5 is not an integer (double)"},
+		{src: "..s", want: "duel: range bound s is not an integer (struct pair)"},
+		{src: "sp..", want: "duel: range bound sp is not an integer (struct pair *)"},
+		{src: "sum3(1, 2)", want: "duel: too few arguments in call to sum3 (2 < 3)"},
+		// Arity is checked before any argument is converted: a struct
+		// argument to a short call reports the arity, not the conversion.
+		{src: "sum3(s)", want: "duel: too few arguments in call to sum3 (1 < 3)"},
+	}
+	for _, c := range cases {
+		for _, b := range BackendNames() {
+			f := errorFake(t)
+			n, err := parser.Parse(c.src, f)
+			if err != nil {
+				t.Fatalf("parse %q: %v", c.src, err)
+			}
+			opts := DefaultOptions()
+			if c.maxOpen != 0 {
+				opts.MaxOpenRange = c.maxOpen
+			}
+			be, _ := GetBackend(b)
+			err = be.Eval(NewEnv(f, opts), n, func(value.Value) error { return nil })
+			if err == nil || err.Error() != c.want {
+				t.Errorf("[%s] %q: error %v, want %q", b, c.src, err, c.want)
+			}
+		}
+	}
+}

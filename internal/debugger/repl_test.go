@@ -486,6 +486,29 @@ func TestTraceMode(t *testing.T) {
 	if strings.Contains(tail, "eval(") {
 		t.Errorf("trace lines after off:\n%s", tail)
 	}
+
+	// Member names on the right of -> and --> are logged like any other
+	// eval call: one value, then NOVALUE, per opened struct.
+	out = runScript(t, listProgram,
+		"run",
+		"set trace on",
+		"duel head->v",
+		"duel head-->next->v",
+		"quit",
+	)
+	for _, want := range []string{
+		"  eval(name) -> 3\neval(witharrow) -> 3\nhead->v = 3\n" +
+			"  eval(name) -> NOVALUE\n  eval(name) -> NOVALUE\neval(witharrow) -> NOVALUE\n",
+		"  eval(name) -> 2\neval(witharrow) -> 2\nhead->next->v = 2\n",
+		"    eval(name) -> 0x0\n    eval(name) -> NOVALUE\n  eval(dfs) -> 0x",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace missing %q:\n%s", want, out)
+		}
+	}
+	if c := strings.Count(out, "  eval(dfs) -> 0x"); c != 3 {
+		t.Errorf("--> visited %d nodes, want 3:\n%s", c, out)
+	}
 }
 
 // TestLimitFiredMessages: when a safety limit aborts a query, the REPL says
