@@ -202,6 +202,11 @@ type Env struct {
 	// breakpoint condition can run nested inside a DUEL-driven target call.
 	syms  value.SymStore
 	evals int
+	// consts holds the values of integer constants built in the current
+	// evaluation (constValue). Their symbolic handles live in syms, so
+	// resetSyms clears it with the store.
+	consts    [4]constEntry
+	nextConst int
 
 	// cancel is set by the Eval deadline watchdog (and cleared when the
 	// evaluation finishes); step checks it so every backend notices a
@@ -269,7 +274,7 @@ func (e *Env) ResetCounters() {
 // beginEval prepares per-command state. Every call is paired with endEval.
 func (e *Env) beginEval() {
 	if e.evals == 0 {
-		e.syms.Reset()
+		e.resetSyms()
 	}
 	e.evals++
 	e.steps = 0
@@ -286,8 +291,15 @@ func (e *Env) beginEval() {
 func (e *Env) endEval() {
 	e.evals--
 	if e.evals == 0 {
-		e.syms.Reset()
+		e.resetSyms()
 	}
+}
+
+// resetSyms drops the symbolic values of the ended evaluation and the
+// constants that carry them.
+func (e *Env) resetSyms() {
+	e.syms.Reset()
+	e.consts = [len(e.consts)]constEntry{}
 }
 
 func (e *Env) step(n *ast.Node) error {
@@ -503,13 +515,12 @@ func (e *Env) pathStep(parent, step value.Sym) value.Sym {
 	return e.syms.Step(parent, step)
 }
 
-// dfsSym counts the composition of a visited --> node's path, which
-// pathRoot or pathStep already recorded when the node was reached.
-func (e *Env) dfsSym(path value.Sym) value.Sym {
+// countSym counts the use of a symbolic value built earlier in the
+// evaluation as the composition it stands for.
+func (e *Env) countSym() {
 	if e.Opts.Symbolic {
 		e.Num.SymOps++
 	}
-	return path
 }
 
 // text renders s, for error messages.
@@ -571,7 +582,7 @@ func (e *Env) internString(n *ast.Node) (value.Value, error) {
 // read-only-target fault (a core dump, any substrate whose Capabilities
 // report CanWrite=false) is contained into an error value carrying the
 // destination's symbolic derivation — exactly how a read fault is contained
-// by rval — so "x[..n] = 0" against a core fails per element and the
+// by load — so "x[..n] = 0" against a core fails per element and the
 // enclosing generator continues. Every other error, and every error with
 // ErrorValues off, aborts as before.
 func (e *Env) containStore(dst value.Value, err error) (value.Value, bool) {
@@ -619,36 +630,29 @@ func (e *Env) badFieldRef(w *withEntry, name string) (value.Value, error) {
 	return value.Value{}, err
 }
 
-// rval performs lvalue conversion, counting loads for the F2 breakdown.
-// Under Options.ErrorValues a load fault is contained into an error value
-// instead of aborting the evaluation; type errors still propagate.
-func (e *Env) rval(v value.Value) (value.Value, error) {
+// load converts *v to its rvalue in place (Ctx.Load), counting loads for
+// the F2 breakdown. Under Options.ErrorValues a load fault makes *v an
+// error value instead of aborting the evaluation; type errors still
+// propagate.
+func (e *Env) load(v *value.Value) error {
 	if v.IsLvalue {
 		e.Num.MemReads++
 	}
-	rv, err := e.Ctx.Rval(v)
+	err := e.Ctx.Load(v)
 	if err != nil && e.Opts.ErrorValues {
 		var me *value.MemError
 		if errors.As(err, &me) {
-			return value.Poison(v.Sym, err), nil
+			*v = value.Poison(v.Sym, err)
+			return nil
 		}
 	}
-	return rv, err
+	return err
 }
 
-// validPointer reports whether pointer rvalue p is non-null and points to
-// readable memory of its pointee's size (the paper: "until a NULL pointer
-// or an invalid pointer terminates the sequence").
-func (e *Env) validPointer(p value.Value) bool {
-	if p.IsPoison() {
-		return false
-	}
-	st := ctype.Strip(p.Type)
-	pt, ok := st.(*ctype.Pointer)
-	if !ok {
-		return false
-	}
-	addr := p.AsUint()
+// validAddr reports whether addr, a pointer of type pt, is non-null and
+// points to readable memory of its pointee's size (the paper: "until a
+// NULL pointer or an invalid pointer terminates the sequence").
+func (e *Env) validAddr(pt *ctype.Pointer, addr uint64) bool {
 	if addr == 0 {
 		return false
 	}
@@ -661,9 +665,8 @@ func (e *Env) validPointer(p value.Value) bool {
 
 // FormatScalar renders a scalar value for the curly display override and
 // reductions; the display package provides the richer top-level formatting.
-func (e *Env) FormatScalar(v value.Value) (string, error) {
-	rv, err := e.rval(v)
-	if err != nil {
+func (e *Env) FormatScalar(rv value.Value) (string, error) {
+	if err := e.load(&rv); err != nil {
 		return "", err
 	}
 	if rv.IsPoison() {

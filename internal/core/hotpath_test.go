@@ -168,3 +168,35 @@ func TestConstOperandStepLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestSymtabShapeCounts pins the work of the symtab-scan query shape on
+// both drivers, so that a cheaper per-element path (an in-place load, a
+// cached constant or member atom, one type pass for ->) still counts every
+// step, lookup, application, symbolic composition and read it did before.
+// machine also counts each node's NOVALUE steps.
+func TestSymtabShapeCounts(t *testing.T) {
+	const query = "(arr[..256] !=? 0)-->next->v >? 380"
+	want := map[string]Counters{
+		"push":    {Values: 1673, Lookups: 769, Applies: 896, SymOps: 2690, MemReads: 1217, TargetReads: 1216},
+		"machine": {Values: 4494, Lookups: 769, Applies: 896, SymOps: 2690, MemReads: 1217, TargetReads: 1216},
+	}
+	f := allocFake(t)
+	n, err := parser.Parse(query, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range BackendNames() {
+		be, _ := GetBackend(b)
+		env := NewEnv(f, DefaultOptions())
+		values := 0
+		if err := be.Eval(env, n, func(value.Value) error { values++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		all := env.Counters()
+		c := Counters{Values: all.Values, Lookups: all.Lookups, Applies: all.Applies,
+			SymOps: all.SymOps, MemReads: all.MemReads, TargetReads: all.TargetReads}
+		if values != 3 || c != want[b] {
+			t.Errorf("[%s] %s: %d values, counters %+v; want 3, %+v", b, query, values, c, want[b])
+		}
+	}
+}

@@ -61,9 +61,25 @@ func (e *Env) leaf(n *ast.Node, emit EmitFn) error {
 	return emit(v)
 }
 
+// constEntry is an integer constant's value, built once per evaluation.
+type constEntry struct {
+	n *ast.Node
+	v value.Value
+}
+
+// constValue is the value of the integer constant n. The first use in an
+// evaluation builds it and keeps it in e.consts; every use counts its atom.
 func (e *Env) constValue(n *ast.Node) value.Value {
+	for i := range e.consts {
+		if c := &e.consts[i]; c.n == n {
+			e.countSym()
+			return c.v
+		}
+	}
 	v := value.MakeInt(constType(e.Ctx.Arch, n), int64(n.Int))
 	v.Sym = e.atom(n.Text)
+	e.consts[e.nextConst] = constEntry{n: n, v: v}
+	e.nextConst = (e.nextConst + 1) % len(e.consts)
 	return v
 }
 
@@ -133,20 +149,19 @@ func (e *Env) apply1(n *ast.Node, u value.Value, emit EmitFn) error {
 	case ast.OpPreInc, ast.OpPreDec, ast.OpPostInc, ast.OpPostDec:
 		w, err = e.incDec(n, u)
 	default:
-		ru, err := e.rval(u)
-		if err != nil {
+		if err := e.load(&u); err != nil {
 			return err
 		}
 		e.Num.Applies++
 		sym := n.Op.Symbol()
 		switch n.Op {
 		case ast.OpIndirect:
-			w, err = e.Ctx.Deref(ru)
+			w, err = e.Ctx.Deref(u)
 		case ast.OpCast:
-			w, err = e.Ctx.Convert(ru, n.Type)
+			w, err = e.Ctx.Convert(u, n.Type)
 			sym = "(" + n.Type.String() + ")"
 		default:
-			w, err = e.Ctx.Unary(n.Op, ru)
+			w, err = e.Ctx.Unary(n.Op, u)
 		}
 		if err != nil {
 			return err
@@ -165,8 +180,8 @@ func (e *Env) incDec(n *ast.Node, u value.Value) (value.Value, error) {
 	if n.Op == ast.OpPreDec || n.Op == ast.OpPostDec {
 		op, symOp = ast.OpMinus, "--"
 	}
-	old, err := e.rval(u)
-	if err != nil {
+	old := u
+	if err := e.load(&old); err != nil {
 		return value.Value{}, err
 	}
 	e.Num.Applies++
@@ -199,7 +214,7 @@ type operand struct{ u, r value.Value }
 // left2 prepares one value u of a cross-two node's left operand, once per
 // left value: l.r is its rvalue, or for an assignment, after the check
 // that u is an lvalue, unused.
-func (e *Env) left2(n *ast.Node, l *operand, u value.Value) (err error) {
+func (e *Env) left2(n *ast.Node, l *operand, u value.Value) error {
 	l.u = u
 	if n.Op == ast.OpAssign || compoundBase(n.Op) != ast.OpInvalid {
 		if !u.IsLvalue {
@@ -207,8 +222,8 @@ func (e *Env) left2(n *ast.Node, l *operand, u value.Value) (err error) {
 		}
 		return nil
 	}
-	l.r, err = e.rval(u)
-	return err
+	l.r = u
+	return e.load(&l.r)
 }
 
 // cross2 computes what a cross-two node produces for its left operand l
@@ -216,17 +231,17 @@ func (e *Env) left2(n *ast.Node, l *operand, u value.Value) (err error) {
 // or [] applied to the two, a DUEL ?-comparison's left operand when the
 // comparison holds (nothing when it does not), or an assignment. It runs
 // once per element, so it takes its operands by pointer and emits instead
-// of returning a value: push's yield then takes the value directly.
+// of returning a value: push's yield then takes the value directly. It
+// loads *v in place.
 func (e *Env) cross2(n *ast.Node, l *operand, v *value.Value, emit EmitFn) error {
-	rv, err := e.rval(*v)
-	if err != nil {
+	if err := e.load(v); err != nil {
 		return err
 	}
 	switch n.Op {
 	case ast.OpAssign, ast.OpAddAssign, ast.OpSubAssign, ast.OpMulAssign,
 		ast.OpDivAssign, ast.OpModAssign, ast.OpAndAssign, ast.OpOrAssign,
 		ast.OpXorAssign, ast.OpShlAssign, ast.OpShrAssign:
-		w, err := e.assignOne(n, &l.u, rv)
+		w, err := e.assignOne(n, &l.u, *v)
 		if err != nil {
 			return err
 		}
@@ -234,13 +249,13 @@ func (e *Env) cross2(n *ast.Node, l *operand, v *value.Value, emit EmitFn) error
 	}
 	e.Num.Applies++
 	if n.Op == ast.OpIndex {
-		w, err := e.Ctx.Index(l.r, rv)
+		w, err := e.Ctx.Index(l.r, *v)
 		if err != nil {
 			return err
 		}
 		return emit(w.WithSym(e.indexSym(l.u.Sym, v.Sym)))
 	}
-	w, err := e.Ctx.Binary(n.Op, l.r, rv)
+	w, err := e.Ctx.Binary(n.Op, l.r, *v)
 	if err != nil {
 		return err
 	}
@@ -259,11 +274,12 @@ func (e *Env) cross2(n *ast.Node, l *operand, v *value.Value, emit EmitFn) error
 // then shows the assigned value, e.g. "x[0] = 5").
 func (e *Env) assignOne(n *ast.Node, u *value.Value, rv value.Value) (value.Value, error) {
 	if base := compoundBase(n.Op); base != ast.OpInvalid {
-		old, err := e.rval(*u)
-		if err != nil {
+		old := *u
+		if err := e.load(&old); err != nil {
 			return value.Value{}, err
 		}
 		e.Num.Applies++
+		var err error
 		if rv, err = e.Ctx.Binary(base, old, rv); err != nil {
 			return value.Value{}, err
 		}
@@ -304,11 +320,10 @@ func (e *Env) branch(n *ast.Node, u value.Value) (int, error) {
 }
 
 func (e *Env) truth(u value.Value) (bool, error) {
-	ru, err := e.rval(u)
-	if err != nil {
+	if err := e.load(&u); err != nil {
 		return false, err
 	}
-	return e.Ctx.Truth(ru)
+	return e.Ctx.Truth(u)
 }
 
 // --- fold ---
@@ -347,21 +362,20 @@ func (e *Env) foldIn(r *fold, u value.Value) (stop bool, err error) {
 		r.i++
 		return false, nil
 	case ast.OpSum:
-		ru, err := e.rval(u)
-		if err != nil {
+		if err := e.load(&u); err != nil {
 			return false, err
 		}
 		switch {
-		case ru.IsPoison():
+		case u.IsPoison():
 			// A total cannot be produced with an element missing.
-			return false, ru.Err()
-		case ctype.IsFloat(ru.Type):
+			return false, u.Err()
+		case ctype.IsFloat(u.Type):
 			r.float = true
-			r.f += ru.AsFloat()
-		case ctype.IsInteger(ctype.Strip(ru.Type)):
-			r.i += ru.AsInt()
+			r.f += u.AsFloat()
+		case ctype.IsInteger(ctype.Strip(u.Type)):
+			r.i += u.AsInt()
 		default:
-			return false, fmt.Errorf("duel: +/ cannot sum values of type %s", ru.Type)
+			return false, fmt.Errorf("duel: +/ cannot sum values of type %s", u.Type)
 		}
 		return false, nil
 	case ast.OpSizeofE:
@@ -414,36 +428,38 @@ func (e *Env) foldOut(r *fold, emit EmitFn) error {
 // declInit stores the first value v of a declaration's initializer in the
 // declared variable lv.
 func (e *Env) declInit(lv, v value.Value) error {
-	rv, err := e.rval(v)
-	if err != nil {
+	if err := e.load(&v); err != nil {
 		return err
 	}
-	return e.Ctx.Store(lv, rv)
+	return e.Ctx.Store(lv, v)
 }
 
 // --- ranges and loops ---
 
 func (e *Env) rangeBound(u value.Value) (int64, error) {
-	ru, err := e.rval(u)
-	if err != nil {
+	if err := e.load(&u); err != nil {
 		return 0, err
 	}
-	if ru.IsPoison() {
+	if u.IsPoison() {
 		// A range cannot proceed without its bound; the containment
 		// stops here and the fault aborts the (sub)expression.
-		return 0, ru.Err()
+		return 0, u.Err()
 	}
-	if !ctype.IsInteger(ctype.Strip(ru.Type)) {
-		return 0, fmt.Errorf("duel: range bound %s is not an integer (%s)", e.text(u.Sym), ru.Type)
+	if !ctype.IsInteger(ctype.Strip(u.Type)) {
+		return 0, fmt.Errorf("duel: range bound %s is not an integer (%s)", e.text(u.Sym), u.Type)
 	}
-	return ru.AsInt(), nil
+	return u.AsInt(), nil
 }
 
 // rangeDone reports whether a range node has produced its last value
 // before i: lo..hi ends past hi, ..hi at hi, and lo.. (lsym the symbolic
-// value of lo) never, but it fails after MaxOpenRange values.
+// value of lo) after the largest long, but it fails after MaxOpenRange
+// values. The drivers count i up from lo, so i < lo means that i++ wrapped
+// past the largest long.
 func (e *Env) rangeDone(n *ast.Node, lo, i, hi int64, lsym value.Sym) (bool, error) {
 	switch {
+	case i < lo:
+		return true, nil
 	case n.Op == ast.OpTo:
 		return i > hi, nil
 	case n.Op == ast.OpToPrefix:
@@ -488,14 +504,13 @@ type selection struct {
 
 // selectIndex checks and records one value v of e2.
 func (e *Env) selectIndex(s *selection, v value.Value) error {
-	rv, err := e.rval(v)
-	if err != nil {
+	if err := e.load(&v); err != nil {
 		return err
 	}
-	if !ctype.IsInteger(ctype.Strip(rv.Type)) {
-		return fmt.Errorf("duel: [[...]] index %s is not an integer (%s)", e.text(v.Sym), rv.Type)
+	if !ctype.IsInteger(ctype.Strip(v.Type)) {
+		return fmt.Errorf("duel: [[...]] index %s is not an integer (%s)", e.text(v.Sym), v.Type)
 	}
-	i := rv.AsInt()
+	i := v.AsInt()
 	if i < 0 {
 		return fmt.Errorf("duel: [[...]] index %d is negative", i)
 	}
@@ -540,8 +555,7 @@ func (s *selection) next() (value.Value, bool) {
 // evaluate the condition node, reporting whether any value was non-zero.
 func (e *Env) untilStops(u value.Value, stopKid *ast.Node, anyCond func(*ast.Node) (bool, error)) (bool, error) {
 	if stopKid.Op == ast.OpConst || stopKid.Op == ast.OpFConst {
-		ru, err := e.rval(u)
-		if err != nil {
+		if err := e.load(&u); err != nil {
 			return false, err
 		}
 		stop := value.MakeFloat(e.Ctx.Arch.Double, stopKid.Float)
@@ -549,7 +563,7 @@ func (e *Env) untilStops(u value.Value, stopKid *ast.Node, anyCond func(*ast.Nod
 			stop = e.constValue(stopKid)
 		}
 		e.Num.Applies++
-		w, err := e.Ctx.Binary(ast.OpEq, ru, stop)
+		w, err := e.Ctx.Binary(ast.OpEq, u, stop)
 		if err != nil {
 			return false, err
 		}
@@ -558,20 +572,15 @@ func (e *Env) untilStops(u value.Value, stopKid *ast.Node, anyCond func(*ast.Nod
 	w := e.pushWith()
 	defer e.popWith()
 	w.orig = u
-	ru, err := e.rval(u)
-	if err == nil {
-		if _, ok := ctype.Strip(ru.Type).(*ctype.Struct); ok {
-			w.scope = ru
-			w.hasScope = true
-		} else if ctype.IsPointer(ru.Type) && e.validPointer(ru) {
-			if sv, derr := e.Ctx.Deref(ru); derr == nil {
-				if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
-					w.scope = sv
-					w.hasScope = true
-				}
+	if e.load(&w.orig) == nil {
+		switch t := ctype.Strip(w.orig.Type).(type) {
+		case *ctype.Struct:
+			w.scope, w.hasScope = w.orig, true
+		case *ctype.Pointer:
+			if addr := w.orig.AsUint(); e.validAddr(t, addr) {
+				w.openPointee(t, addr)
 			}
 		}
-		w.orig = ru.WithSym(u.Sym)
 	}
 	return anyCond(stopKid)
 }
@@ -618,44 +627,47 @@ func (e *Env) makeWithEntry(w *withEntry, u value.Value, arrow bool) error {
 		}
 		return nil
 	}
-	ru, err := e.rval(u)
-	if err != nil {
+	if err := e.load(&w.orig); err != nil {
 		return err
 	}
-	w.orig = ru.WithSym(u.Sym)
-	if ru.IsPoison() {
+	if w.orig.IsPoison() {
 		// The read of the pointer itself faulted (ErrorValues). Field
 		// names still resolve — via the statically known pointee type —
 		// but each resolution yields an error value carrying the fault.
-		if elem, ok := ctype.PointerElem(ctype.Strip(u.Type)); ok {
+		if elem, ok := ctype.PointerElem(u.Type); ok {
 			if est, isStruct := ctype.Strip(elem).(*ctype.Struct); isStruct {
 				w.badType = est
-				w.badErr = ru.Err()
+				w.badErr = w.orig.Err()
 			}
 		}
 		return nil
 	}
-	if !ctype.IsPointer(ru.Type) {
-		return fmt.Errorf("duel: %s is not a pointer (%s); cannot apply ->", e.text(u.Sym), ru.Type)
+	// One type pass: the pointer type is stripped and asserted once, and
+	// the scope lvalue is built from it directly.
+	pt, ok := ctype.Strip(w.orig.Type).(*ctype.Pointer)
+	if !ok {
+		return fmt.Errorf("duel: %s is not a pointer (%s); cannot apply ->", e.text(u.Sym), w.orig.Type)
 	}
-	elem, _ := ctype.PointerElem(ru.Type)
-	est, isStruct := ctype.Strip(elem).(*ctype.Struct)
-	if !e.validPointer(ru) {
-		if isStruct {
+	addr := w.orig.AsUint()
+	if !e.validAddr(pt, addr) {
+		if est, ok := ctype.Strip(pt.Elem).(*ctype.Struct); ok {
 			w.badType = est
-			w.badAddr = ru.AsUint()
+			w.badAddr = addr
 		}
 		return nil
 	}
-	if isStruct {
-		sv, err := e.Ctx.Deref(ru)
-		if err != nil {
-			return err
-		}
-		w.scope = sv
+	w.openPointee(pt, addr)
+	return nil
+}
+
+// openPointee opens the scope of the struct that w.orig, a valid pointer
+// of type pt to addr, points to; any other pointee opens none.
+func (w *withEntry) openPointee(pt *ctype.Pointer, addr uint64) {
+	if _, ok := ctype.Strip(pt.Elem).(*ctype.Struct); ok {
+		w.scope = value.Lvalue(pt.Elem, addr)
+		w.scope.Sym = w.orig.Sym
 		w.hasScope = true
 	}
-	return nil
 }
 
 // directField resolves C-style field access u.name / u->name without
@@ -702,11 +714,15 @@ func (e *Env) cDirectField(kid *ast.Node) bool {
 // the struct type the node opened last. A driver keeps it with the node's
 // evaluation, never on the AST, which several goroutines may evaluate at
 // once.
+//
+// It also keeps the member name's atom, made on first use: a memberStep
+// lives no longer than the evaluation whose symbolic store holds it.
 type memberStep struct {
 	kid    *ast.Node
 	member bool // kid is a member name; "_" and C scoping keep the general path
 	st     *ctype.Struct
 	f      *ctype.Field // kid's member of st; nil when st has none
+	sym    value.Sym    // kid's atom; zero until first made
 }
 
 func (e *Env) newMemberStep(kid *ast.Node) memberStep {
@@ -737,7 +753,12 @@ func (m *memberStep) field(w *withEntry) (*ctype.Field, bool) {
 func (e *Env) member(m *memberStep, w *withEntry, f *ctype.Field, emit EmitFn) error {
 	e.Num.Lookups++
 	v := value.MemberLvalue(w.scope.Addr, f)
-	v.Sym = e.atom(m.kid.Name)
+	if m.sym == (value.Sym{}) {
+		m.sym = e.atom(m.kid.Name) // stays zero with Options.Symbolic off
+	} else {
+		e.countSym()
+	}
+	v.Sym = m.sym
 	return emit(v)
 }
 
@@ -764,21 +785,23 @@ type expansion struct {
 
 // expandRoot starts the walk from one value u of e1.
 func (e *Env) expandRoot(x *expansion, u value.Value) error {
-	ru, err := e.rval(u)
-	if err != nil {
+	if err := e.load(&u); err != nil {
 		return err
 	}
-	if !ctype.IsPointer(ru.Type) {
-		return fmt.Errorf("duel: %s is not a pointer (%s); cannot expand with -->", e.text(u.Sym), ru.Type)
+	pt, ok := ctype.Strip(u.Type).(*ctype.Pointer)
+	if !ok {
+		return fmt.Errorf("duel: %s is not a pointer (%s); cannot expand with -->", e.text(u.Sym), u.Type)
 	}
 	x.work, x.visits, x.root, x.visited = x.work[:0], 0, u.Sym, nil
-	if !e.validPointer(ru) {
+	addr := u.AsUint()
+	if !e.validAddr(pt, addr) {
 		return nil // NULL or invalid root: empty expansion
 	}
 	if e.Opts.CycleDetect {
-		x.visited = map[uint64]bool{ru.AsUint(): true}
+		x.visited = map[uint64]bool{addr: true}
 	}
-	x.work = append(x.work, ru.WithSym(e.pathRoot(u.Sym)))
+	u.Sym = e.pathRoot(u.Sym)
+	x.work = append(x.work, u)
 	return nil
 }
 
@@ -790,53 +813,51 @@ func (e *Env) expandNext(x *expansion) (ok bool, err error) {
 	if len(x.work) == 0 {
 		return false, nil
 	}
-	var it value.Value
 	if x.bfs {
-		it = x.work[0]
+		x.cur = x.work[0]
 		x.work = x.work[1:]
 	} else {
-		it = x.work[len(x.work)-1]
+		x.cur = x.work[len(x.work)-1]
 		x.work = x.work[:len(x.work)-1]
 	}
 	x.visits++
 	if x.visits > e.Opts.MaxExpand {
 		return false, fmt.Errorf("duel: --> expansion of %s exceeded %d nodes (cycle? enable cycle detection)", e.text(x.root), e.Opts.MaxExpand)
 	}
-	x.cur = it.WithSym(e.dfsSym(it.Sym))
-	sv, err := e.Ctx.Deref(x.cur)
-	if err != nil {
-		return false, err
-	}
+	// The node's path was recorded when the node was reached (pathRoot,
+	// pathStep); visiting it counts the composition.
+	e.countSym()
+	// expandRoot and expandKid queue only valid pointers, so the node
+	// opens in one type pass, like makeWithEntry.
 	w := e.pushWith()
 	w.orig = x.cur
-	if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
-		w.scope = sv
-		w.hasScope = true
-	}
+	w.openPointee(ctype.Strip(x.cur.Type).(*ctype.Pointer), x.cur.AsUint())
 	x.kids = x.kids[:0]
 	return true, nil
 }
 
-// expandKid adds one value w of e2 as a child of the node being opened.
+// expandKid adds one value *w of e2, which it loads in place, as a child
+// of the node being opened.
 func (e *Env) expandKid(x *expansion, w *value.Value) error {
-	rw, err := e.rval(*w)
-	if err != nil {
+	if err := e.load(w); err != nil {
 		return err
 	}
-	if !ctype.IsPointer(rw.Type) {
-		return fmt.Errorf("duel: --> step %s is not a pointer (%s)", e.text(w.Sym), rw.Type)
+	pt, ok := ctype.Strip(w.Type).(*ctype.Pointer)
+	if !ok {
+		return fmt.Errorf("duel: --> step %s is not a pointer (%s)", e.text(w.Sym), w.Type)
 	}
-	if !e.validPointer(rw) {
+	a := w.AsUint()
+	if !e.validAddr(pt, a) {
 		return nil
 	}
 	if x.visited != nil {
-		a := rw.AsUint()
 		if x.visited[a] {
 			return nil
 		}
 		x.visited[a] = true
 	}
-	x.kids = append(x.kids, rw.WithSym(e.pathStep(x.cur.Sym, w.Sym)))
+	w.Sym = e.pathStep(x.cur.Sym, w.Sym)
+	x.kids = append(x.kids, *w)
 	return nil
 }
 
@@ -875,11 +896,10 @@ func (e *Env) builtin(n *ast.Node) (string, error) {
 
 // frameScope is frame(i) for one value a of i: the scope of that frame.
 func (e *Env) frameScope(a value.Value) (value.Value, error) {
-	ra, err := e.rval(a)
-	if err != nil {
+	if err := e.load(&a); err != nil {
 		return value.Value{}, err
 	}
-	lvl := int(ra.AsInt())
+	lvl := int(a.AsInt())
 	if lvl < 0 || lvl >= e.Ctx.D.NumFrames() {
 		return value.Value{}, fmt.Errorf("duel: no frame %d (%d active)", lvl, e.Ctx.D.NumFrames())
 	}
@@ -898,8 +918,8 @@ type callee struct {
 // callee checks that fv is a function. If any argument is a generator, the
 // drivers call it for all combinations of argument values, per the paper.
 func (e *Env) callee(fv value.Value) (callee, error) {
-	rf, err := e.rval(fv)
-	if err != nil {
+	rf := fv
+	if err := e.load(&rf); err != nil {
 		return callee{}, err
 	}
 	var sig *ctype.Func
@@ -914,11 +934,8 @@ func (e *Env) callee(fv value.Value) (callee, error) {
 
 // callArg is the argument a call passes for one value a of an argument.
 func (e *Env) callArg(a value.Value) (value.Value, error) {
-	ra, err := e.rval(a)
-	if err != nil {
-		return value.Value{}, err
-	}
-	return ra.WithSym(a.Sym), nil
+	err := e.load(&a)
+	return a, err
 }
 
 // callOnce performs one target call and emits its result; a function

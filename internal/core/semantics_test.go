@@ -131,6 +131,15 @@ func TestGeneratorLHSAssignment(t *testing.T) {
 	}
 }
 
+// TestRangeAtLargestLong: a range ends after the largest long instead of
+// wrapping to negative values and running on.
+func TestRangeAtLargestLong(t *testing.T) {
+	wantAll(t, newStructFakeTB, "#/(9223372036854775806..9223372036854775807)", "2")
+	wantAll(t, newStructFakeTB, "#/(9223372036854775806..)", "2")
+	wantAll(t, newStructFakeTB, "#/(9223372036854775805..9223372036854775806)", "2")
+	wantAll(t, newStructFakeTB, "#/(-2..1)", "4")
+}
+
 // TestAssignmentChains: right-associative assignment.
 func TestAssignmentChains(t *testing.T) {
 	wantAll(t, newStructFakeTB, "int p; int q; p = q = 7; p+q", "p+q = 14")

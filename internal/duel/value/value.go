@@ -160,10 +160,18 @@ func (v Value) Bytes() []byte {
 
 // FromBytes returns an rvalue of type t holding b, which it may keep.
 func FromBytes(t ctype.Type, b []byte) Value {
+	v := Value{Type: t}
+	v.setBytes(b)
+	return v
+}
+
+// setBytes makes v's actual value the rvalue bytes b, which it may keep.
+func (v *Value) setBytes(b []byte) {
 	if len(b) <= 8 {
-		return Value{Type: t, Addr: mem.DecodeUint(b), size: uint8(len(b))}
+		v.Addr, v.ext, v.size = mem.DecodeUint(b), nil, uint8(len(b))
+		return
 	}
-	return Value{Type: t, Addr: uint64(len(b)), ext: unsafe.SliceData(b)}
+	v.Addr, v.ext, v.size = uint64(len(b)), unsafe.SliceData(b), 0
 }
 
 // Ctx carries what the value engine needs: the target's data model, the
@@ -326,34 +334,36 @@ func (v Value) IsZero() bool {
 
 // --- lvalue conversion ---
 
-// Rval converts v to an rvalue: lvalues are loaded from target memory
-// (bitfields are extracted and extended), arrays decay to pointers to their
-// first element, and function designators decay to their entry address.
-func (c *Ctx) Rval(v Value) (Value, error) {
-	if v.IsPoison() {
-		return v, nil
+// Load converts *v to its rvalue in place: an lvalue is loaded from target
+// memory (a bitfield is extracted and extended), an array decays to a
+// pointer to its first element, and a function designator decays to its
+// entry address. The symbolic value is kept. On error *v is unchanged.
+//
+// A load runs once per element of most queries, so it sets the fields the
+// conversion changes instead of storing a whole Value.
+func (c *Ctx) Load(v *Value) error {
+	if v.err != nil {
+		return nil
 	}
 	st := ctype.Strip(v.Type)
-	if a, ok := st.(*ctype.Array); ok {
+	switch t := st.(type) {
+	case *ctype.Array:
 		if !v.IsLvalue {
-			return Value{}, c.typeErrf(v, "array rvalue cannot decay")
+			return c.typeErrf(*v, "array rvalue cannot decay")
 		}
-		out := MakePtr(c.Arch.Ptr(a.Elem), v.Addr)
-		out.Sym = v.Sym
-		return out, nil
-	}
-	if _, ok := st.(*ctype.Func); ok {
-		out := MakePtr(c.Arch.Ptr(st), v.Addr)
-		out.Sym = v.Sym
-		return out, nil
+		*v = MakePtr(c.Arch.Ptr(t.Elem), v.Addr).WithSym(v.Sym)
+		return nil
+	case *ctype.Func:
+		*v = MakePtr(c.Arch.Ptr(st), v.Addr).WithSym(v.Sym)
+		return nil
 	}
 	if !v.IsLvalue {
-		return v, nil
+		return nil
 	}
 	size := st.Size()
 	b, err := c.D.GetTargetBytes(v.Addr, size)
 	if err != nil {
-		return Value{}, c.memErr(v, err)
+		return c.memErr(*v, err)
 	}
 	if v.BitWidth > 0 {
 		u := mem.DecodeUint(b)
@@ -365,9 +375,15 @@ func (c *Ctx) Rval(v Value) (Value, error) {
 		}
 		b = mem.EncodeUint(u, size)
 	}
-	out := FromBytes(v.Type, b)
-	out.Sym = v.Sym
-	return out, nil
+	v.IsLvalue, v.BitOff, v.BitWidth = false, 0, 0
+	v.setBytes(b)
+	return nil
+}
+
+// Rval returns v's rvalue (see Load).
+func (c *Ctx) Rval(v Value) (Value, error) {
+	err := c.Load(&v)
+	return v, err
 }
 
 // Store assigns rvalue src into lvalue dst (with conversion to dst's type),

@@ -58,6 +58,32 @@ func TestMakeAndExtract(t *testing.T) {
 	}
 }
 
+// TestLoadAllocs pins the cost of an in-place load: loading a 4-byte
+// lvalue allocates only the substrate's copy of the bytes (the fake
+// debugger returns a fresh slice), and the loaded Value stays where it is.
+func TestLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts: skipped under -race")
+	}
+	c, f := newCtx()
+	vi := f.MustVar("x", c.Arch.Int)
+	_ = f.PutTargetBytes(vi.Addr, []byte{42, 0, 0, 0})
+	lv := Lvalue(c.Arch.Int, vi.Addr)
+	var v Value
+	allocs := testing.AllocsPerRun(100, func() {
+		v = lv
+		if err := c.Load(&v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if v.IsLvalue || v.AsInt() != 42 {
+		t.Fatalf("Load: lvalue %v, value %d; want the rvalue 42", v.IsLvalue, v.AsInt())
+	}
+	if allocs > 1 {
+		t.Errorf("Load of a 4-byte lvalue: %.1f allocations, want at most 1 (the substrate's copy)", allocs)
+	}
+}
+
 func TestRvalLoadsAndDecays(t *testing.T) {
 	c, f := newCtx()
 	a := c.Arch

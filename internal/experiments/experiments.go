@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -628,6 +629,9 @@ func countGoLines(dir string, testsOnly bool) (int, error) {
 
 // --- T7: generator-backend ablation ---
 
+// t7Runs is the number of timed evaluations per backend and query.
+const t7Runs = 15
+
 // T7 times a standard query suite on each backend.
 func T7(w io.Writer) error {
 	fmt.Fprintln(w, "T7: generator-backend ablation (push closures vs the paper's explicit")
@@ -648,11 +652,14 @@ func T7(w io.Writer) error {
 	for _, b := range backends {
 		fmt.Fprintf(w, " %16s", b)
 	}
-	fmt.Fprintln(w, "   (time per evaluation, relative to push)")
+	fmt.Fprintf(w, "   (median of %d evaluations, relative to push)\n", t7Runs)
+	raw := func(v value.Value) error { return nil }
 	for _, q := range queries {
-		fmt.Fprintf(w, "%-12s", q.name)
-		var base time.Duration
-		for _, b := range backends {
+		// One session per backend, each warmed up by one evaluation; then
+		// the backends take turns, swapping which goes first every round,
+		// so a slow stretch of a shared host lands on both.
+		evals := make([]func() error, len(backends))
+		for k, b := range backends {
 			opts := duel.DefaultOptions()
 			opts.Backend = b
 			ses, err := duel.NewSession(d, opts)
@@ -663,21 +670,26 @@ func T7(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			raw := func(v value.Value) error { return nil }
-			if err := ses.Backend.Eval(ses.Env, node, raw); err != nil {
+			evals[k] = func() error { return ses.Backend.Eval(ses.Env, node, raw) }
+			if err := evals[k](); err != nil {
 				return err
 			}
-			start := time.Now()
-			const runs = 3
-			for i := 0; i < runs; i++ {
-				if err := ses.Backend.Eval(ses.Env, node, raw); err != nil {
+		}
+		times := make([][]time.Duration, len(backends))
+		for r := 0; r < t7Runs; r++ {
+			for j := range backends {
+				k := (j + r) % len(backends)
+				start := time.Now()
+				if err := evals[k](); err != nil {
 					return err
 				}
+				times[k] = append(times[k], time.Since(start))
 			}
-			per := time.Since(start) / runs
-			if base == 0 {
-				base = per
-			}
+		}
+		fmt.Fprintf(w, "%-12s", q.name)
+		base := medianDuration(times[0])
+		for k := range backends {
+			per := medianDuration(times[k])
 			fmt.Fprintf(w, " %10s %4.1fx", per.Round(time.Microsecond), float64(per)/float64(base))
 		}
 		fmt.Fprintln(w)
@@ -685,6 +697,12 @@ func T7(w io.Writer) error {
 	fmt.Fprintln(w, "\nthe paper: \"more efficient implementations of generators are possible\";")
 	fmt.Fprintln(w, "closures beat per-call state machines.")
 	return nil
+}
+
+// medianDuration returns the median of ds, which it sorts.
+func medianDuration(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // --- T8: cycle handling ---

@@ -244,7 +244,11 @@ type Accessor struct {
 	mu     sync.Mutex
 	pages  map[uint64]*list.Element
 	lru    *list.List // front = most recently used; elements hold *page
-	stats  Stats
+	// resident mirrors lru.Len(): it is stored under mu whenever the
+	// resident set changes, so ValidTargetAddr can see without mu that
+	// no page is resident.
+	resident atomic.Int64
+	stats    Stats
 	// pins counts open BeginBatch scopes; while positive, ReleasePrefetched
 	// is deferred so one warm pass can serve several evaluations.
 	pins int
@@ -425,6 +429,7 @@ func (a *Accessor) flushLocked() {
 	a.stats.Flushes++
 	a.pages = make(map[uint64]*list.Element)
 	a.lru.Init()
+	a.resident.Store(0)
 }
 
 // GetTargetBytes implements dbgif.Debugger: reads go through the page cache
@@ -533,13 +538,20 @@ func (a *Accessor) pageFor(base uint64) *page {
 	a.stats.Misses++
 	pg := &page{base: base, data: b}
 	a.pages[base] = a.lru.PushFront(pg)
+	a.evictLocked()
+	return pg
+}
+
+// evictLocked drops least recently used pages down to the MaxPages bound
+// and publishes the resident count.
+func (a *Accessor) evictLocked() {
 	for a.lru.Len() > a.cfg.MaxPages {
 		back := a.lru.Back()
 		delete(a.pages, back.Value.(*page).base)
 		a.lru.Remove(back)
 		a.stats.Evictions++
 	}
-	return pg
+	a.resident.Store(int64(a.lru.Len()))
 }
 
 // PutTargetBytes implements dbgif.Debugger: write-through, then invalidate
@@ -564,30 +576,29 @@ func (a *Accessor) PutTargetBytes(addr uint64, b []byte) error {
 // ValidTargetAddr implements dbgif.Debugger. A range fully covered by
 // resident pages — cached or prefetched — is known mapped without a host
 // round-trip: the hot path of --> list walks, which validate every pointer
-// before following it.
+// before following it. With no page resident (the cache off and nothing
+// prefetched, the default) it asks the substrate without taking mu.
 func (a *Accessor) ValidTargetAddr(addr uint64, n int) bool {
-	if n > 0 && addr+uint64(n)-1 >= addr {
-		a.mu.Lock()
-		covered := a.lru.Len() > 0
-		if covered {
-			ps := uint64(a.cfg.PageSize)
-			last := (addr + uint64(n) - 1) &^ (ps - 1)
-			for base := addr &^ (ps - 1); ; base += ps {
-				if _, ok := a.pages[base]; !ok {
-					covered = false
-					break
-				}
-				if base == last {
-					break
-				}
-			}
+	if a.resident.Load() > 0 && n > 0 && addr+uint64(n)-1 >= addr && a.covered(addr, n) {
+		return true
+	}
+	return a.Debugger.ValidTargetAddr(addr, n)
+}
+
+// covered reports whether resident pages cover [addr, addr+n), n > 0.
+func (a *Accessor) covered(addr uint64, n int) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ps := uint64(a.cfg.PageSize)
+	last := (addr + uint64(n) - 1) &^ (ps - 1)
+	for base := addr &^ (ps - 1); ; base += ps {
+		if _, ok := a.pages[base]; !ok {
+			return false
 		}
-		a.mu.Unlock()
-		if covered {
+		if base == last {
 			return true
 		}
 	}
-	return a.Debugger.ValidTargetAddr(addr, n)
 }
 
 // Prefetch makes the pages covering [addr, addr+n) resident ahead of a scan,
@@ -668,12 +679,7 @@ func (a *Accessor) prefetchLocked(addr uint64, n int) {
 			pg := &page{base: pb, data: b[k*int(ps) : (k+1)*int(ps)]}
 			a.pages[pb] = a.lru.PushFront(pg)
 		}
-		for a.lru.Len() > a.cfg.MaxPages {
-			back := a.lru.Back()
-			delete(a.pages, back.Value.(*page).base)
-			a.lru.Remove(back)
-			a.stats.Evictions++
-		}
+		a.evictLocked()
 	}
 }
 
@@ -701,6 +707,7 @@ func (a *Accessor) releasePrefetchedLocked() {
 	}
 	a.pages = make(map[uint64]*list.Element)
 	a.lru.Init()
+	a.resident.Store(0)
 }
 
 // BeginBatch opens a pin scope: until the matching EndBatch, the resident
@@ -774,6 +781,7 @@ func (a *Accessor) invalidate(addr uint64, n int) {
 			break
 		}
 	}
+	a.resident.Store(int64(a.lru.Len()))
 }
 
 // fault wraps a host read/write error in a classified Fault. Faults from a
