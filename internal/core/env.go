@@ -202,6 +202,10 @@ type Env struct {
 	// breakpoint condition can run nested inside a DUEL-driven target call.
 	syms  value.SymStore
 	evals int
+	// ctx is what Ctx points at. It lives inside the Env, not in a small
+	// allocation of its own: a load writes its scratch, and a small object
+	// can share a cache line with another session's.
+	ctx value.Ctx
 	// consts holds the values of integer constants built in the current
 	// evaluation (constValue). Their symbolic handles live in syms, so
 	// resetSyms clears it with the store.
@@ -238,7 +242,8 @@ func NewEnv(d dbgif.Debugger, opts Options) *Env {
 		declAddrs: make(map[*ast.Node]uint64),
 		strAddrs:  make(map[*ast.Node]uint64),
 	}
-	e.Ctx = &value.Ctx{Arch: d.Arch(), D: acc, Syms: &e.syms}
+	e.ctx = value.Ctx{Arch: d.Arch(), D: acc, Syms: &e.syms}
+	e.Ctx = &e.ctx
 	return e
 }
 

@@ -19,7 +19,7 @@ type panicky struct {
 	*fakedbg.Fake
 }
 
-func (p *panicky) GetTargetBytes(addr uint64, n int) ([]byte, error) {
+func (p *panicky) FetchTargetBytes(addr uint64, dst []byte) error {
 	panic("panicky: read of target memory")
 }
 
@@ -79,12 +79,12 @@ type panicOnce struct {
 	panicked bool
 }
 
-func (p *panicOnce) GetTargetBytes(addr uint64, n int) ([]byte, error) {
+func (p *panicOnce) FetchTargetBytes(addr uint64, dst []byte) error {
 	if !p.panicked {
 		p.panicked = true
 		panic("panicOnce: read of target memory")
 	}
-	return p.Fake.GetTargetBytes(addr, n)
+	return p.Fake.FetchTargetBytes(addr, dst)
 }
 
 // TestEvalAfterRecoveredPanic: a panic in the substrate leaves the session

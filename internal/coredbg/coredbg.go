@@ -111,29 +111,36 @@ func (c *Core) segFor(addr uint64) *segment {
 }
 
 // GetTargetBytes implements dbgif.Debugger, serving reads from the
-// photographed address space (spanning segment boundaries if needed).
+// photographed address space.
 func (c *Core) GetTargetBytes(addr uint64, n int) ([]byte, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("coredbg: negative read length %d", n)
-	}
-	out := make([]byte, n)
+	return dbgif.Get(c, addr, n)
+}
+
+// FetchTargetBytes implements dbgif.Fetcher, spanning segment boundaries if
+// needed. A segment's tail past its dumped bytes reads as zero, and since
+// dst is the caller's buffer that tail is cleared explicitly.
+func (c *Core) FetchTargetBytes(addr uint64, dst []byte) error {
+	n := len(dst)
 	for done := 0; done < n; {
 		a := addr + uint64(done)
 		s := c.segFor(a)
 		if s == nil {
-			return nil, fmt.Errorf("coredbg: unmapped address 0x%x (reading %d bytes at 0x%x)", a, n, addr)
+			return fmt.Errorf("coredbg: unmapped address 0x%x (reading %d bytes at 0x%x)", a, n, addr)
 		}
 		off := a - s.vaddr
 		take := n - done
 		if left := s.memsz - off; uint64(take) > left {
 			take = int(left)
 		}
+		part := dst[done : done+take]
+		copied := 0
 		if off < uint64(len(s.data)) {
-			copy(out[done:done+take], s.data[off:])
+			copied = copy(part, s.data[off:])
 		}
+		clear(part[copied:])
 		done += take
 	}
-	return out, nil
+	return nil
 }
 
 // ValidTargetAddr implements dbgif.Debugger: the range must be fully
@@ -341,5 +348,6 @@ func (c *Core) LookupEnumConst(name string) (ctype.Type, int64, bool) {
 
 var (
 	_ dbgif.Debugger     = (*Core)(nil)
+	_ dbgif.Fetcher      = (*Core)(nil)
 	_ dbgif.Capabilities = (*Core)(nil)
 )

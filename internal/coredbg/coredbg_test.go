@@ -63,6 +63,24 @@ func TestConformance(t *testing.T) {
 	})
 }
 
+// TestFetchBSS fetches the fixture's zero-initialized array into a buffer
+// pre-filled with 0xAA: whether the bytes come from the dump or from the
+// zero-fill tail of a segment, they must all read as zero.
+func TestFetchBSS(t *testing.T) {
+	c := openFixture(t)
+	vi, ok := c.GetTargetVariable("zeroed_bss")
+	if !ok {
+		t.Fatal("missing symbol zeroed_bss")
+	}
+	dst := bytes.Repeat([]byte{0xAA}, vi.Type.Size())
+	if err := c.FetchTargetBytes(vi.Addr, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, make([]byte, len(dst))) {
+		t.Errorf("zeroed_bss fetched as %x, want zeros", dst)
+	}
+}
+
 // TestFrames checks the frame-pointer unwind against the fixture's known
 // shape: crash(0)..crash(3), run, and nothing past the zeroed frame
 // pointer. Locals resolve through DW_OP_fbreg with the dumped rbp.

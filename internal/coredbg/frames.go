@@ -144,8 +144,8 @@ func (c *Core) frameLocals(f *frameInfo) []dbgif.VarInfo {
 }
 
 func (c *Core) readUint64(addr uint64) (uint64, error) {
-	b, err := c.GetTargetBytes(addr, 8)
-	if err != nil {
+	var b [8]byte
+	if err := c.FetchTargetBytes(addr, b[:]); err != nil {
 		return 0, err
 	}
 	var v uint64

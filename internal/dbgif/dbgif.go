@@ -23,6 +23,7 @@ package dbgif
 
 import (
 	"errors"
+	"fmt"
 
 	"duel/internal/ctype"
 )
@@ -72,6 +73,65 @@ func Resume(d Debugger) {
 	if i, ok := d.(Interrupter); ok {
 		i.Resume()
 	}
+}
+
+// Fetcher is an optional interface a Debugger implements when it can read
+// target memory into a buffer the caller owns, the nub's
+// _Nub_fetch(space, address, buf, nbytes) (Hanson, MSR-TR-99-4). On success
+// every byte of dst holds target memory; on error dst's contents are
+// unspecified. A fetch of len(dst) == 0 faults exactly where a zero-length
+// GetTargetBytes does. The substrate must not keep dst.
+type Fetcher interface {
+	FetchTargetBytes(addr uint64, dst []byte) error
+}
+
+// Fetch reads len(dst) bytes at addr into dst: through d's own
+// FetchTargetBytes when d has one, otherwise through GetTargetBytes and a
+// copy. It deliberately does not walk d's Unwrap chain: a wrapper that
+// intercepts reads without fetching (fault injection, tracing, recording)
+// must still see every read, so only the outermost layer decides.
+func Fetch(d Debugger, addr uint64, dst []byte) error {
+	if f, ok := d.(Fetcher); ok {
+		return f.FetchTargetBytes(addr, dst)
+	}
+	return getFetcher{d}.FetchTargetBytes(addr, dst)
+}
+
+// FetcherOf returns what Fetch reads d through, so a layer that reads one
+// debugger many times asserts its interface once.
+func FetcherOf(d Debugger) Fetcher {
+	if f, ok := d.(Fetcher); ok {
+		return f
+	}
+	return getFetcher{d}
+}
+
+// getFetcher fetches from a debugger that only implements GetTargetBytes.
+type getFetcher struct{ d Debugger }
+
+func (g getFetcher) FetchTargetBytes(addr uint64, dst []byte) error {
+	b, err := g.d.GetTargetBytes(addr, len(dst))
+	if err != nil {
+		return err
+	}
+	if len(b) != len(dst) {
+		return fmt.Errorf("dbgif: short read of %d of %d bytes at 0x%x", len(b), len(dst), addr)
+	}
+	copy(dst, b)
+	return nil
+}
+
+// Get is GetTargetBytes for a substrate whose read is its FetchTargetBytes:
+// it allocates n bytes and fetches into them.
+func Get(f Fetcher, addr uint64, n int) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("dbgif: negative read of %d bytes at 0x%x", n, addr)
+	}
+	b := make([]byte, n)
+	if err := f.FetchTargetBytes(addr, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // ErrReadOnlyTarget is the sentinel every immutable substrate wraps in the

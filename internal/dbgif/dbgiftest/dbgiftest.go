@@ -7,11 +7,17 @@
 package dbgiftest
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
+	"time"
+	"unsafe"
 
 	"duel/internal/ctype"
 	"duel/internal/dbgif"
+	"duel/internal/faultdbg"
+	"duel/internal/memio"
 )
 
 // Fixture describes the symbols a conforming test target must expose:
@@ -110,6 +116,8 @@ func Run(t *testing.T, f Fixture) {
 			t.Error("top-of-space valid")
 		}
 	})
+
+	t.Run("fetch", func(t *testing.T) { runFetch(t, f) })
 
 	t.Run("strings", func(t *testing.T) {
 		// msg is a char*: follow it and read the text.
@@ -221,4 +229,94 @@ func Run(t *testing.T, f Fixture) {
 			t.Error("frame locals resolved with no frames")
 		}
 	})
+}
+
+// runFetch checks that dbgif.Fetch into a caller's buffer agrees with
+// GetTargetBytes: the same bytes, the same error for an unmapped or short
+// range, success for an empty buffer, and a transient fault retried by
+// memio into the very buffer the caller passed.
+func runFetch(t *testing.T, f Fixture) {
+	d := f.D
+	ranges := []struct {
+		addr uint64
+		n    int
+	}{{f.G.Addr, 4}, {f.Arr.Addr, 16}, {f.Arr.Addr + 2, 9}, {f.Pt.Addr, 8}, {f.Msg.Addr, d.Arch().PtrSize}}
+	for _, r := range ranges {
+		want, err := d.GetTargetBytes(r.addr, r.n)
+		if err != nil {
+			t.Fatalf("GetTargetBytes(0x%x, %d): %v", r.addr, r.n, err)
+		}
+		dst := bytes.Repeat([]byte{0xAA}, r.n)
+		if err := dbgif.Fetch(d, r.addr, dst); err != nil || !bytes.Equal(dst, want) {
+			t.Errorf("Fetch(0x%x, %d) = %x, %v; GetTargetBytes = %x", r.addr, r.n, dst, err, want)
+		}
+	}
+
+	end := mappedEnd(d, f.G.Addr)
+	for _, r := range []struct {
+		what string
+		addr uint64
+		n    int
+	}{{"NULL", 0, 4}, {"top of space", ^uint64(0) - 16, 8}, {"short", end - 2, 4}} {
+		_, gerr := d.GetTargetBytes(r.addr, r.n)
+		ferr := dbgif.Fetch(d, r.addr, make([]byte, r.n))
+		if gerr == nil || ferr == nil {
+			t.Errorf("%s read: GetTargetBytes err %v, Fetch err %v; want both to fail", r.what, gerr, ferr)
+			continue
+		}
+		if reflect.TypeOf(gerr) != reflect.TypeOf(ferr) || gerr.Error() != ferr.Error() {
+			t.Errorf("%s read: GetTargetBytes err %T %q, Fetch err %T %q", r.what, gerr, gerr, ferr, ferr)
+		}
+	}
+
+	if err := dbgif.Fetch(d, f.G.Addr, nil); err != nil {
+		t.Errorf("empty Fetch: %v", err)
+	}
+	if b, err := d.GetTargetBytes(f.G.Addr, 0); err != nil || len(b) != 0 {
+		t.Errorf("empty GetTargetBytes = %x, %v", b, err)
+	}
+
+	// One scripted transient: memio retries it, and both attempts fill the
+	// caller's dst.
+	rec := &fetchRecorder{Debugger: faultdbg.New(d, faultdbg.Plan{Script: []faultdbg.ScriptEntry{{Op: 1, Kind: faultdbg.Transient}}})}
+	acc := memio.New(rec, memio.Config{RetryBackoff: time.Microsecond})
+	want, _ := d.GetTargetBytes(f.Arr.Addr, 16)
+	dst := bytes.Repeat([]byte{0xAA}, 16)
+	if err := acc.FetchTargetBytes(f.Arr.Addr, dst); err != nil || !bytes.Equal(dst, want) {
+		t.Fatalf("fetch through a transient = %x, %v; want %x", dst, err, want)
+	}
+	if s := acc.Stats(); s.Retries != 1 || s.HostReads != 2 {
+		t.Errorf("Retries, HostReads = %d, %d; want 1, 2", s.Retries, s.HostReads)
+	}
+	if len(rec.bufs) != 2 || rec.bufs[0] != &dst[0] || rec.bufs[1] != &dst[0] {
+		t.Errorf("attempts fetched into %v; want both into the caller's dst %p", rec.bufs, &dst[0])
+	}
+}
+
+// mappedEnd returns one past the last byte of the mapping that holds addr.
+func mappedEnd(d dbgif.Debugger, addr uint64) uint64 {
+	n := 1
+	for n < 1<<40 && d.ValidTargetAddr(addr, 2*n) {
+		n *= 2
+	}
+	lo, hi := n, 2*n // valid at lo bytes, not at hi
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; d.ValidTargetAddr(addr, mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return addr + uint64(lo)
+}
+
+// fetchRecorder records the buffer each fetch through it fills.
+type fetchRecorder struct {
+	dbgif.Debugger
+	bufs []*byte
+}
+
+func (r *fetchRecorder) FetchTargetBytes(addr uint64, dst []byte) error {
+	r.bufs = append(r.bufs, unsafe.SliceData(dst))
+	return dbgif.Fetch(r.Debugger, addr, dst)
 }

@@ -34,6 +34,12 @@ func (d *Debugger) GetTargetBytes(addr uint64, n int) ([]byte, error) {
 	return d.P.Space.Read(addr, n)
 }
 
+// FetchTargetBytes implements dbgif.Fetcher: duel_get_target_bytes into
+// the caller's buffer.
+func (d *Debugger) FetchTargetBytes(addr uint64, dst []byte) error {
+	return d.P.Space.Fetch(addr, dst)
+}
+
 // PutTargetBytes implements dbgif.Debugger (duel_put_target_bytes).
 func (d *Debugger) PutTargetBytes(addr uint64, b []byte) error {
 	return d.P.Space.Write(addr, b)
@@ -143,4 +149,7 @@ func (d *Debugger) LookupEnumConst(name string) (ctype.Type, int64, bool) {
 	return e, v, true
 }
 
-var _ dbgif.Debugger = (*Debugger)(nil)
+var (
+	_ dbgif.Debugger = (*Debugger)(nil)
+	_ dbgif.Fetcher  = (*Debugger)(nil)
+)

@@ -29,6 +29,8 @@ type Printer struct {
 	MaxElems int
 	// MaxDepth bounds nested aggregate printing.
 	MaxDepth int
+
+	buf [64]byte // readCString's fetch buffer
 }
 
 // New returns a Printer with the standard limits.
@@ -122,17 +124,35 @@ func (p *Printer) formatPointer(rv value.Value) (string, error) {
 	return "0x" + strconv.FormatUint(addr, 16), nil
 }
 
+// readCString reads the NUL-terminated string at addr, at most MaxString
+// bytes of it, a chunk at a time into the Printer's buffer. A chunk that
+// faults (it may run past the NUL into unmapped memory) is read again a
+// byte at a time, so the string still ends at its NUL and an unmapped byte
+// before the NUL still fails the read.
 func (p *Printer) readCString(addr uint64) (string, bool) {
 	var sb strings.Builder
-	for i := 0; i < p.MaxString; i++ {
-		b, err := p.Ctx.D.GetTargetBytes(addr+uint64(i), 1)
-		if err != nil {
-			return "", false
+	bytewise := 0 // bytes of a faulted chunk still to read one at a time
+	for n := 0; n < p.MaxString; {
+		chunk := p.buf[:min(len(p.buf), p.MaxString-n)]
+		if bytewise > 0 {
+			chunk = chunk[:1]
 		}
-		if b[0] == 0 {
+		if p.Ctx.D.FetchTargetBytes(addr+uint64(n), chunk) != nil {
+			if len(chunk) == 1 {
+				return "", false
+			}
+			bytewise = len(chunk)
+			continue
+		}
+		if bytewise > 0 {
+			bytewise--
+		}
+		if i := indexByte(chunk, 0); i >= 0 {
+			sb.Write(chunk[:i])
 			return sb.String(), true
 		}
-		sb.WriteByte(b[0])
+		sb.Write(chunk)
+		n += len(chunk)
 	}
 	return sb.String(), true // truncated but displayable
 }

@@ -1,6 +1,7 @@
 package display
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -59,6 +60,55 @@ func TestCharPointerShowsString(t *testing.T) {
 	got, _ = p.Format(value.MakePtr(a.Ptr(a.Char), 0x99999999))
 	if got != "0x99999999" {
 		t.Errorf("bad char* = %q", got)
+	}
+}
+
+// TestCStringChunks checks that reading a string a chunk at a time prints
+// what reading it a byte at a time prints: strings that cross chunks, hit
+// MaxString, end at the last mapped byte, or run off mapped memory.
+func TestCStringChunks(t *testing.T) {
+	p, f := newPrinter()
+	a := f.A
+	end := f.Base + uint64(len(f.RAM))
+	bytewise := func(addr uint64) string {
+		var sb strings.Builder
+		for i := 0; i < p.MaxString; i++ {
+			b, err := f.GetTargetBytes(addr+uint64(i), 1)
+			if err != nil {
+				return "0x" + strconv.FormatUint(addr, 16)
+			}
+			if b[0] == 0 {
+				break
+			}
+			sb.WriteByte(b[0])
+		}
+		return strconv.Quote(sb.String())
+	}
+	long := strings.Repeat("0123456789", 30)
+	for _, c := range []struct {
+		addr uint64
+		s    string
+		nul  bool
+	}{
+		{f.Base + 0x100, "hi", true},
+		{f.Base + 0x200, long[:100], true},
+		{f.Base + 0x400, long, true},
+		{end - 10, "tail12345", true},
+		{end - 64, strings.Repeat("x", 63), true},
+		{end - 8, "offthend", false},
+	} {
+		b := []byte(c.s)
+		if c.nul {
+			b = append(b, 0)
+		}
+		_ = f.PutTargetBytes(c.addr, b)
+		for _, max := range []int{200, 64, 65, 1} {
+			p.MaxString = max
+			got, err := p.Format(value.MakePtr(a.Ptr(a.Char), c.addr))
+			if want := bytewise(c.addr); err != nil || got != want {
+				t.Errorf("MaxString %d: %q at 0x%x = %s, %v; want %s", max, c.s, c.addr, got, err, want)
+			}
+		}
 	}
 }
 

@@ -180,10 +180,27 @@ func (v *Value) setBytes(b []byte) {
 // *memio.Accessor (rather than a raw dbgif.Debugger) is what guarantees that
 // every target read and write of the engine is cached, counted and
 // fault-typed in one place.
+//
+// A Ctx is driven by one evaluation at a time: scratch, the buffer a load
+// of at most 8 bytes is fetched into, is its own.
 type Ctx struct {
 	Arch *ctype.Arch
 	D    *memio.Accessor
 	Syms *SymStore
+
+	scratch [8]byte
+}
+
+// fetch reads size bytes at addr: into the Ctx's scratch when they fit
+// (valid until the next fetch), else into a slice of their own.
+func (c *Ctx) fetch(addr uint64, size int) ([]byte, error) {
+	var b []byte
+	if size <= len(c.scratch) {
+		b = c.scratch[:size]
+	} else {
+		b = make([]byte, size)
+	}
+	return b, c.D.FetchTargetBytes(addr, b)
 }
 
 // MemError reports an invalid target access, carrying the offending
@@ -361,7 +378,7 @@ func (c *Ctx) Load(v *Value) error {
 		return nil
 	}
 	size := st.Size()
-	b, err := c.D.GetTargetBytes(v.Addr, size)
+	b, err := c.fetch(v.Addr, size)
 	if err != nil {
 		return c.memErr(*v, err)
 	}
@@ -376,7 +393,7 @@ func (c *Ctx) Load(v *Value) error {
 		b = mem.EncodeUint(u, size)
 	}
 	v.IsLvalue, v.BitOff, v.BitWidth = false, 0, 0
-	v.setBytes(b)
+	v.setBytes(b) // decodes scratch bytes inline; keeps only an own slice
 	return nil
 }
 
@@ -402,7 +419,7 @@ func (c *Ctx) Store(dst, src Value) error {
 	}
 	if dst.BitWidth > 0 {
 		size := st.Size()
-		cur, err := c.D.GetTargetBytes(dst.Addr, size)
+		cur, err := c.fetch(dst.Addr, size)
 		if err != nil {
 			return c.memErr(dst, err)
 		}

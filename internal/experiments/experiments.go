@@ -35,7 +35,7 @@ func Run(w io.Writer, name string) error {
 	case "t3":
 		return T3(w)
 	case "t4":
-		return T4(w)
+		return T4(w, T4Runs)
 	case "t5":
 		return T5(w)
 	case "t6":
@@ -327,9 +327,13 @@ func (s *slowSymtab) GetTargetVariable(name string) (dbgif.VarInfo, bool) {
 	return s.Debugger.GetTargetVariable(name)
 }
 
+// T4Runs is the number of timed evaluations per T4 configuration in the
+// full experiment.
+const T4Runs = 3000
+
 // T4 measures the paper's claim that most of the time evaluating 1..100+i
-// goes to the 100 lookups of i.
-func T4(w io.Writer) error {
+// goes to the 100 lookups of i, timing runs evaluations per configuration.
+func T4(w io.Writer, runs int) error {
 	fmt.Fprintln(w, "T4: symbol-lookup cost — \"most of the time in evaluating 1..100+i")
 	fmt.Fprintln(w, "    goes to the 100 lookups of i\"")
 	fmt.Fprintln(w, "------------------------------------------------------------------")
@@ -352,16 +356,15 @@ func T4(w io.Writer) error {
 			return 0, core.Counters{}, err
 		}
 		ses.ResetCounters()
-		const runs = 3000
 		start := time.Now()
 		for i := 0; i < runs; i++ {
 			if err := ses.EvalNode(n, func(duel.Result) error { return nil }); err != nil {
 				return 0, core.Counters{}, err
 			}
 		}
-		per := time.Since(start) / runs
+		per := time.Since(start) / time.Duration(runs)
 		c := ses.Counters()
-		c.Lookups /= runs
+		c.Lookups /= int64(runs)
 		return per, c, nil
 	}
 	type host struct {

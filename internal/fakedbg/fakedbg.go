@@ -81,12 +81,16 @@ func (f *Fake) Arch() *ctype.Arch { return f.A }
 
 // GetTargetBytes implements dbgif.Debugger.
 func (f *Fake) GetTargetBytes(addr uint64, n int) ([]byte, error) {
-	if !f.ValidTargetAddr(addr, n) {
-		return nil, fmt.Errorf("fakedbg: invalid read of %d at 0x%x", n, addr)
+	return dbgif.Get(f, addr, n)
+}
+
+// FetchTargetBytes implements dbgif.Fetcher.
+func (f *Fake) FetchTargetBytes(addr uint64, dst []byte) error {
+	if !f.ValidTargetAddr(addr, len(dst)) {
+		return fmt.Errorf("fakedbg: invalid read of %d at 0x%x", len(dst), addr)
 	}
-	out := make([]byte, n)
-	copy(out, f.RAM[addr-f.Base:])
-	return out, nil
+	copy(dst, f.RAM[addr-f.Base:])
+	return nil
 }
 
 // PutTargetBytes implements dbgif.Debugger.
@@ -103,7 +107,8 @@ func (f *Fake) PutTargetBytes(addr uint64, b []byte) error {
 
 // ValidTargetAddr implements dbgif.Debugger.
 func (f *Fake) ValidTargetAddr(addr uint64, n int) bool {
-	return n >= 0 && addr >= f.Base && addr+uint64(n) <= f.Base+uint64(len(f.RAM))
+	size := uint64(len(f.RAM))
+	return n >= 0 && addr >= f.Base && addr-f.Base <= size && uint64(n) <= size-(addr-f.Base)
 }
 
 // AllocTargetSpace implements dbgif.Debugger.
@@ -225,5 +230,6 @@ func (f *Fake) CanCall() bool { return !f.ReadOnly }
 
 var (
 	_ dbgif.Debugger     = (*Fake)(nil)
+	_ dbgif.Fetcher      = (*Fake)(nil)
 	_ dbgif.Capabilities = (*Fake)(nil)
 )

@@ -374,22 +374,30 @@ func sleep(d time.Duration, abort chan struct{}) bool {
 
 // GetTargetBytes implements dbgif.Debugger.
 func (i *Injector) GetTargetBytes(addr uint64, n int) ([]byte, error) {
+	return dbgif.Get(i, addr, n)
+}
+
+// FetchTargetBytes implements dbgif.Fetcher: one read of the schedule, then
+// a fetch from the wrapped debugger (through its GetTargetBytes if it cannot
+// fetch).
+func (i *Injector) FetchTargetBytes(addr uint64, dst []byte) error {
+	n := len(dst)
 	k, abort, inject := i.decide(opRead)
 	if inject {
 		switch k {
 		case Unmapped:
-			return nil, &memio.Fault{Addr: addr, Len: n, Op: memio.OpRead, Kind: memio.KindUnmapped, Err: ErrInjected}
+			return &memio.Fault{Addr: addr, Len: n, Op: memio.OpRead, Kind: memio.KindUnmapped, Err: ErrInjected}
 		case Short:
-			return nil, &memio.Fault{Addr: addr, Len: n, Op: memio.OpRead, Kind: memio.KindShort, Err: ErrInjected}
+			return &memio.Fault{Addr: addr, Len: n, Op: memio.OpRead, Kind: memio.KindShort, Err: ErrInjected}
 		case Transient:
-			return nil, &memio.Fault{Addr: addr, Len: n, Op: memio.OpRead, Kind: memio.KindTransient, Err: ErrInjected}
+			return &memio.Fault{Addr: addr, Len: n, Op: memio.OpRead, Kind: memio.KindTransient, Err: ErrInjected}
 		case Latency:
 			if !sleep(i.latency(), abort) {
-				return nil, &memio.Fault{Addr: addr, Len: n, Op: memio.OpRead, Kind: memio.KindOther, Err: ErrInterrupted}
+				return &memio.Fault{Addr: addr, Len: n, Op: memio.OpRead, Kind: memio.KindOther, Err: ErrInterrupted}
 			}
 		}
 	}
-	return i.Debugger.GetTargetBytes(addr, n)
+	return dbgif.Fetch(i.Debugger, addr, dst)
 }
 
 // PutTargetBytes implements dbgif.Debugger.
@@ -465,6 +473,7 @@ func (i *Injector) Arch() *ctype.Arch { return i.Debugger.Arch() }
 
 var (
 	_ dbgif.Debugger     = (*Injector)(nil)
+	_ dbgif.Fetcher      = (*Injector)(nil)
 	_ dbgif.Interrupter  = (*Injector)(nil)
 	_ dbgif.Capabilities = (*Injector)(nil)
 	_ dbgif.Wrapper      = (*Injector)(nil)

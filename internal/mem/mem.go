@@ -9,6 +9,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -110,16 +111,28 @@ func (sp *Space) AddSegment(name string, base uint64, size int, writable bool) (
 // Segments returns the segments in address order.
 func (sp *Space) Segments() []*Segment { return sp.segs }
 
-// find returns the segment containing [addr, addr+n), or nil.
+// find returns the segment containing [addr, addr+n), or nil. It is a
+// plain binary search for the first segment ending above addr: reads run
+// through it once per element, so it takes no closure and keeps no hint (a
+// Space is shared by every session reading the target).
 func (sp *Space) find(addr uint64, n int) *Segment {
 	if n < 0 {
 		return nil
 	}
-	i := sort.Search(len(sp.segs), func(i int) bool { return sp.segs[i].End() > addr })
-	if i == len(sp.segs) {
+	segs := sp.segs
+	lo, hi := 0, len(segs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if segs[mid].End() > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == len(segs) {
 		return nil
 	}
-	s := sp.segs[i]
+	s := segs[lo]
 	if addr < s.Base || addr+uint64(n) > s.End() || addr+uint64(n) < addr {
 		return nil
 	}
@@ -129,14 +142,25 @@ func (sp *Space) find(addr uint64, n int) *Segment {
 // Valid reports whether [addr, addr+n) is entirely mapped.
 func (sp *Space) Valid(addr uint64, n int) bool { return n >= 0 && sp.find(addr, n) != nil }
 
+// Fetch copies len(dst) bytes starting at addr into dst.
+func (sp *Space) Fetch(addr uint64, dst []byte) error {
+	s := sp.find(addr, len(dst))
+	if s == nil {
+		return &Fault{Addr: addr, Len: len(dst)}
+	}
+	copy(dst, s.Data[addr-s.Base:])
+	return nil
+}
+
 // Read copies n bytes starting at addr into a fresh slice.
 func (sp *Space) Read(addr uint64, n int) ([]byte, error) {
-	s := sp.find(addr, n)
-	if s == nil {
+	if n < 0 {
 		return nil, &Fault{Addr: addr, Len: n}
 	}
 	out := make([]byte, n)
-	copy(out, s.Data[addr-s.Base:])
+	if err := sp.Fetch(addr, out); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -152,18 +176,28 @@ func (sp *Space) Write(addr uint64, b []byte) error {
 
 // ReadCString reads a NUL-terminated string starting at addr, up to max
 // bytes. It returns the string (without the NUL) and whether a terminator
-// was found within the mapped, in-budget region.
+// was found within the mapped, in-budget region. It scans segment data in
+// place, crossing into an adjacent segment where one begins exactly at the
+// end of the last.
 func (sp *Space) ReadCString(addr uint64, max int) (string, bool) {
 	var out []byte
-	for i := 0; i < max; i++ {
-		b, err := sp.Read(addr+uint64(i), 1)
-		if err != nil {
+	for len(out) < max {
+		s := sp.find(addr, 1)
+		if s == nil {
 			return string(out), false
 		}
-		if b[0] == 0 {
-			return string(out), true
+		data := s.Data[addr-s.Base:]
+		if len(data) > max-len(out) {
+			data = data[:max-len(out)]
 		}
-		out = append(out, b[0])
+		if i := bytes.IndexByte(data, 0); i >= 0 {
+			if out == nil {
+				return string(data[:i]), true
+			}
+			return string(append(out, data[:i]...)), true
+		}
+		out = append(out, data...)
+		addr += uint64(len(data))
 	}
 	return string(out), false
 }

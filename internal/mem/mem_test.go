@@ -156,6 +156,78 @@ func TestReadCString(t *testing.T) {
 	}
 }
 
+// TestReadCStringAcrossSegments reads strings where segments meet: one
+// that continues into an adjacent segment, and one that runs into a gap
+// before its terminator.
+func TestReadCStringAcrossSegments(t *testing.T) {
+	sp, _ := newTestSpace(t)
+	if _, err := sp.AddSegment("next", 0x2000, 16, true); err != nil {
+		t.Fatal(err)
+	}
+	_ = sp.Write(0x1ffd, []byte("abc"))
+	_ = sp.Write(0x2000, append([]byte("de"), 0))
+	if s, ok := sp.ReadCString(0x1ffd, 100); !ok || s != "abcde" {
+		t.Errorf("string across adjacent segments = %q, %v", s, ok)
+	}
+	if s, ok := sp.ReadCString(0x1ffd, 4); ok || s != "abcd" {
+		t.Errorf("capped string across segments = %q, %v", s, ok)
+	}
+	for i := uint64(0); i < 16; i++ {
+		_ = sp.Write(0x2000+i, []byte{'x'})
+	}
+	if s, ok := sp.ReadCString(0x200e, 100); ok || s != "xx" {
+		t.Errorf("string running into a gap = %q, %v", s, ok)
+	}
+	if s, ok := sp.ReadCString(0x3000, 100); ok || s != "" {
+		t.Errorf("unmapped string = %q, %v", s, ok)
+	}
+}
+
+// TestFindAgainstLinearScan checks the binary search over segments against
+// a linear scan, at every boundary of several segments with gaps.
+func TestFindAgainstLinearScan(t *testing.T) {
+	sp := NewSpace()
+	for _, b := range []uint64{0x9000, 0x1000, 0x5000, 0x5100, 0x3000} {
+		if _, err := sp.AddSegment("s", b, 0x100, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	linear := func(addr uint64, n int) *Segment {
+		for _, s := range sp.Segments() {
+			if n >= 0 && addr >= s.Base && addr < s.End() && addr+uint64(n) <= s.End() {
+				return s
+			}
+		}
+		return nil
+	}
+	for _, s := range sp.Segments() {
+		for _, addr := range []uint64{s.Base - 1, s.Base, s.Base + 1, s.End() - 1, s.End(), s.End() + 1} {
+			for _, n := range []int{0, 1, 4, 0x100, 0x101} {
+				if got, want := sp.find(addr, n), linear(addr, n); got != want {
+					t.Errorf("find(0x%x, %d) = %p, want %p", addr, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFetchAllocs checks that a fetch into the caller's buffer allocates
+// nothing and that reading a C string allocates only the string.
+func TestFetchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts: skipped under -race")
+	}
+	sp, _ := newTestSpace(t)
+	_ = sp.Write(0x1000, append([]byte("hello"), 0))
+	var dst [8]byte
+	if got := testing.AllocsPerRun(100, func() { _ = sp.Fetch(0x1000, dst[:]) }); got != 0 {
+		t.Errorf("Fetch: %.1f allocations, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _, _ = sp.ReadCString(0x1000, 100) }); got > 1 {
+		t.Errorf("ReadCString: %.1f allocations, want at most 1 (the string)", got)
+	}
+}
+
 func TestCodecsRoundTrip(t *testing.T) {
 	f := func(v uint64, size uint8) bool {
 		n := []int{1, 2, 4, 8}[int(size)%4]

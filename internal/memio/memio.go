@@ -234,6 +234,7 @@ type Stats struct {
 type Accessor struct {
 	dbgif.Debugger // host debugger; symbol/type/frame calls delegate to it
 
+	src         dbgif.Fetcher // the host debugger's read, dbgif.FetcherOf(Debugger)
 	cfg         Config
 	interrupted atomic.Bool // set by Interrupt: fail fast, skip retries
 	// intrMu guards the abort channel's lifecycle only; it is never held
@@ -245,10 +246,20 @@ type Accessor struct {
 	pages  map[uint64]*list.Element
 	lru    *list.List // front = most recently used; elements hold *page
 	// resident mirrors lru.Len(): it is stored under mu whenever the
-	// resident set changes, so ValidTargetAddr can see without mu that
-	// no page is resident.
+	// resident set changes, so ValidTargetAddr and FetchTargetBytes can
+	// see without mu that no page is resident.
 	resident atomic.Int64
-	stats    Stats
+	stats    Stats // changed under mu
+	// direct and directBytes count the reads of the lock-free path: each
+	// is one engine read and one host round-trip of its bytes, so Stats
+	// adds them to Reads and HostReads, and to ReadBytes and HostBytes.
+	// They are written on every read, so the padding keeps any other
+	// object (such as another session's accessor next to this one in
+	// memory) off their cache line.
+	_           [48]byte
+	direct      atomic.Int64
+	directBytes atomic.Int64
+	_           [48]byte
 	// pins counts open BeginBatch scopes; while positive, ReleasePrefetched
 	// is deferred so one warm pass can serve several evaluations.
 	pins int
@@ -279,7 +290,7 @@ func New(d dbgif.Debugger, cfg Config) *Accessor {
 	}
 	// The page store exists even with the cache off: Prefetch installs
 	// pages into it on demand. Empty, it costs one length check per read.
-	a := &Accessor{Debugger: d, cfg: cfg}
+	a := &Accessor{Debugger: d, src: dbgif.FetcherOf(d), cfg: cfg}
 	a.abort = make(chan struct{})
 	a.pages = make(map[uint64]*list.Element)
 	a.lru = list.New()
@@ -313,8 +324,14 @@ func (a *Accessor) PageSize() int { return a.cfg.PageSize }
 // Stats returns a snapshot of the traffic counters.
 func (a *Accessor) Stats() Stats {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats
+	s := a.stats
+	a.mu.Unlock()
+	n, b := a.direct.Load(), a.directBytes.Load()
+	s.Reads += n
+	s.HostReads += n
+	s.ReadBytes += b
+	s.HostBytes += b
+	return s
 }
 
 // ResetStats zeroes the traffic counters.
@@ -322,6 +339,8 @@ func (a *Accessor) ResetStats() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats = Stats{}
+	a.direct.Store(0)
+	a.directBytes.Store(0)
 }
 
 // CachedPages reports the number of resident cache pages.
@@ -432,38 +451,50 @@ func (a *Accessor) flushLocked() {
 	a.resident.Store(0)
 }
 
-// GetTargetBytes implements dbgif.Debugger: reads go through the page cache
-// when enabled, and fall back to one uncached host read for ranges whose
-// pages are not fully mapped, so partial mappings behave exactly as they do
-// with the cache off. With the cache off, resident pages installed by
-// Prefetch still serve reads (that is the point of prefetching), but misses
-// never fill pages: only prefetched ranges are batched, everything else
-// stays one engine read = one host round-trip.
-//
-// A range that lies entirely inside one resident page is returned as a view
-// of that page, not a copy — the per-element fast path of every scan. This
-// is sound because page data is immutable once filled (invalidation drops
-// pages, it never rewrites them), so the view is a coherent snapshot; as
-// with the host debuggers' own returns, callers must not modify the bytes.
+// GetTargetBytes implements dbgif.Debugger: FetchTargetBytes into a fresh
+// slice.
 func (a *Accessor) GetTargetBytes(addr uint64, n int) ([]byte, error) {
+	return dbgif.Get(a, addr, n)
+}
+
+// FetchTargetBytes implements dbgif.Fetcher: it fills dst, which the caller
+// owns, and allocates nothing of its own unless a cache miss fills a page.
+//
+// With the cache off and no page resident (the default) a read is one host
+// round-trip, and one that does not fault takes no lock: it is counted in
+// two atomics. A fault is retried and typed under the lock, as on the
+// locked path. Otherwise reads go through the page cache, and fall back to
+// one uncached host read for ranges whose pages are not fully mapped, so
+// partial mappings behave exactly as they do with the cache off. With the
+// cache off, resident pages installed by Prefetch still serve reads (that
+// is the point of prefetching), but misses never fill pages: only
+// prefetched ranges are batched, everything else stays one engine read =
+// one host round-trip.
+func (a *Accessor) FetchTargetBytes(addr uint64, dst []byte) error {
+	n := len(dst)
+	if !a.cfg.Cache && a.resident.Load() == 0 && !a.interrupted.Load() {
+		a.direct.Add(1)
+		a.directBytes.Add(int64(n))
+		err := a.src.FetchTargetBytes(addr, dst)
+		if err == nil {
+			return nil
+		}
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		a.stats.HostBytes -= int64(n) // counted as read by directBytes
+		return a.hostFetch(addr, dst, err)
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock() // a substrate that panics must not leave the session locked
 	a.stats.Reads++
-	if n > 0 {
-		a.stats.ReadBytes += int64(n)
-	}
+	a.stats.ReadBytes += int64(n)
 	if a.interrupted.Load() {
-		return nil, a.interruptedErr(OpRead, addr, n)
+		return a.interruptedErr(OpRead, addr, n)
 	}
-	usePages := a.cfg.Cache || a.lru.Len() > 0
-	if !usePages || n <= 0 || addr+uint64(n) < addr {
-		b, err := a.hostRead(addr, n)
-		if err != nil {
-			return nil, a.fault(OpRead, addr, n, err)
-		}
-		return b, nil
+	if !a.cfg.Cache && a.lru.Len() == 0 || n == 0 || addr+uint64(n) < addr {
+		a.stats.HostReads++
+		return a.hostFetch(addr, dst, a.src.FetchTargetBytes(addr, dst))
 	}
-	var out []byte
 	ps := uint64(a.cfg.PageSize)
 	for off := 0; off < n; {
 		cur := addr + uint64(off)
@@ -472,47 +503,48 @@ func (a *Accessor) GetTargetBytes(addr uint64, n int) ([]byte, error) {
 			if a.cfg.Cache {
 				a.stats.Misses++
 			}
-			if out == nil {
-				out = make([]byte, n)
+			if err := a.hostRead(cur, dst[off:]); err != nil {
+				return a.fault(OpRead, addr, n, err)
 			}
-			b, err := a.hostRead(cur, n-off)
-			if err != nil {
-				return nil, a.fault(OpRead, addr, n, err)
-			}
-			copy(out[off:], b)
-			break
+			return nil
 		}
-		lo := int(cur - pg.base)
-		if off == 0 && lo+n <= len(pg.data) {
-			return pg.data[lo : lo+n : lo+n], nil
-		}
-		if out == nil {
-			out = make([]byte, n)
-		}
-		off += copy(out[off:], pg.data[lo:])
+		off += copy(dst[off:], pg.data[cur-pg.base:])
 	}
-	return out, nil
+	return nil
 }
 
-// hostRead issues one GetTargetBytes round-trip to the host debugger. A
+// hostFetch finishes an uncached read of all of dst whose first host
+// attempt returned err: it runs the retry schedule, counts the bytes of a
+// read that succeeds and types a failure as a Fault. Called with mu held.
+func (a *Accessor) hostFetch(addr uint64, dst []byte, err error) error {
+	if err = a.retryRead(addr, dst, err); err != nil {
+		return a.fault(OpRead, addr, len(dst), err)
+	}
+	return nil
+}
+
+// hostRead issues one read round-trip into dst to the host debugger. A
 // read that does not fault runs straight through; a transient fault starts
-// the retry schedule.
-func (a *Accessor) hostRead(addr uint64, n int) ([]byte, error) {
+// the retry schedule. Called with mu held.
+func (a *Accessor) hostRead(addr uint64, dst []byte) error {
 	a.stats.HostReads++
-	b, err := a.Debugger.GetTargetBytes(addr, n)
+	return a.retryRead(addr, dst, a.src.FetchTargetBytes(addr, dst))
+}
+
+// retryRead is hostRead after the first attempt returned err: transient
+// faults are retried, each attempt filling the same dst.
+func (a *Accessor) retryRead(addr uint64, dst []byte, err error) error {
 	if err != nil {
 		err = a.retry(err, func() error {
 			a.stats.HostReads++
-			var rerr error
-			b, rerr = a.Debugger.GetTargetBytes(addr, n)
-			return rerr
+			return a.src.FetchTargetBytes(addr, dst)
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	a.stats.HostBytes += int64(len(b))
-	return b, nil
+	a.stats.HostBytes += int64(len(dst))
+	return nil
 }
 
 // pageFor returns the resident page at base, filling it from the host if the
@@ -531,8 +563,8 @@ func (a *Accessor) pageFor(base uint64) *page {
 	if !a.Debugger.ValidTargetAddr(base, a.cfg.PageSize) {
 		return nil
 	}
-	b, err := a.hostRead(base, a.cfg.PageSize)
-	if err != nil {
+	b := make([]byte, a.cfg.PageSize)
+	if err := a.hostRead(base, b); err != nil {
 		return nil
 	}
 	a.stats.Misses++
@@ -667,9 +699,10 @@ func (a *Accessor) prefetchLocked(addr uint64, n int) {
 			}
 			run++
 		}
-		b, err := a.hostRead(base, run*int(ps))
+		b := make([]byte, run*int(ps))
+		err := a.hostRead(base, b)
 		i += run
-		if err != nil || len(b) < run*int(ps) {
+		if err != nil {
 			continue
 		}
 		a.stats.PrefetchStripes++
@@ -804,6 +837,7 @@ func (a *Accessor) fault(op Op, addr uint64, n int, err error) error {
 
 var (
 	_ dbgif.Debugger     = (*Accessor)(nil)
+	_ dbgif.Fetcher      = (*Accessor)(nil)
 	_ dbgif.Interrupter  = (*Accessor)(nil)
 	_ dbgif.Capabilities = (*Accessor)(nil)
 	_ dbgif.Wrapper      = (*Accessor)(nil)

@@ -242,6 +242,18 @@ func TestLRUEviction(t *testing.T) {
 // TestConformance runs the narrow-interface battery against a cache-enabled
 // Accessor: wrapping a conforming debugger must itself conform.
 func TestConformance(t *testing.T) {
+	dbgiftest.Run(t, accessorFixture(memio.Config{Cache: true, PageSize: 32, MaxPages: 8}))
+}
+
+// TestConformanceUncached runs the battery against the default accessor,
+// whose reads take the lock-free path.
+func TestConformanceUncached(t *testing.T) {
+	dbgiftest.Run(t, accessorFixture(memio.Config{}))
+}
+
+// accessorFixture builds the battery's fixture on a fake and wraps it in an
+// Accessor configured by cfg.
+func accessorFixture(cfg memio.Config) dbgiftest.Fixture {
 	f := fakedbg.New(ctype.ILP32, 1<<16)
 	a := f.A
 	g := f.MustVar("g", a.Int)
@@ -271,10 +283,9 @@ func TestConformance(t *testing.T) {
 		return dbgif.Value{Type: a.Int, Bytes: []byte{byte(v), 0, 0, 0}}, nil
 	}
 
-	acc := memio.New(f, memio.Config{Cache: true, PageSize: 32, MaxPages: 8})
-	dbgiftest.Run(t, dbgiftest.Fixture{
-		D: acc, G: g, Arr: arr, Msg: msg, Pt: pt, Fn: fn, Pair: pair,
-	})
+	return dbgiftest.Fixture{
+		D: memio.New(f, cfg), G: g, Arr: arr, Msg: msg, Pt: pt, Fn: fn, Pair: pair,
+	}
 }
 
 // TestConcurrentAccessors hammers one shared cache-enabled Accessor from

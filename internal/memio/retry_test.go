@@ -10,19 +10,19 @@ import (
 )
 
 // flakyDbg wraps the flat-RAM fake with a countdown of transient failures on
-// GetTargetBytes; writes and everything else pass straight through.
+// its reads; writes and everything else pass straight through.
 type flakyDbg struct {
 	*fakedbg.Fake
 	failN int
 	calls int
 }
 
-func (d *flakyDbg) GetTargetBytes(addr uint64, n int) ([]byte, error) {
+func (d *flakyDbg) FetchTargetBytes(addr uint64, dst []byte) error {
 	d.calls++
 	if d.calls <= d.failN {
-		return nil, memio.ErrTransient
+		return memio.ErrTransient
 	}
-	return d.Fake.GetTargetBytes(addr, n)
+	return d.Fake.FetchTargetBytes(addr, dst)
 }
 
 func newFlaky(failN int) (*flakyDbg, *memio.Accessor) {

@@ -17,7 +17,7 @@ import (
 )
 
 // flakyTarget wraps the differential fixture with a countdown of transient
-// read failures: the first failN GetTargetBytes calls fail transiently, the
+// read failures: the first failN FetchTargetBytes calls fail transiently, the
 // rest pass through. failN = -1 fails forever until disarm.
 type flakyTarget struct {
 	*fakedbg.Fake
@@ -26,15 +26,15 @@ type flakyTarget struct {
 	calls int
 }
 
-func (d *flakyTarget) GetTargetBytes(addr uint64, n int) ([]byte, error) {
+func (d *flakyTarget) FetchTargetBytes(addr uint64, dst []byte) error {
 	d.mu.Lock()
 	d.calls++
 	fail := d.failN < 0 || d.calls <= d.failN
 	d.mu.Unlock()
 	if fail {
-		return nil, memio.ErrTransient
+		return memio.ErrTransient
 	}
-	return d.Fake.GetTargetBytes(addr, n)
+	return d.Fake.FetchTargetBytes(addr, dst)
 }
 
 func (d *flakyTarget) disarm() {
