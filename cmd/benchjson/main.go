@@ -20,6 +20,9 @@
 // It reports the chosen metric for every benchmark present in both files
 // and exits non-zero when any regresses by more than the threshold — the
 // CI gate that keeps the serving layer's throughput honest across commits.
+// A baseline benchmark the new report lacks is listed as MISSING, so a
+// deleted or renamed benchmark shows instead of silently dropping out; it
+// does not fail the gate.
 // Each repeatable -gate metric=threshold adds one more gated metric with
 // its own threshold on top of the primary -metric/-threshold pair, so one
 // compare run can hold throughput AND the allocation diet simultaneously.
@@ -86,7 +89,7 @@ func (g *gateList) Set(s string) error {
 }
 
 func main() {
-	bench := flag.String("bench", "T1Catalog|T3Scan|T3ListWalk|ServeThroughput|ServeOverload|ServeHedgedRead|ServeBatchedRead|ServeStream|FleetFailover", "benchmark name pattern (go test -bench)")
+	bench := flag.String("bench", "T1Catalog|T3Scan|T3ListWalk|ServeThroughput|ServeOverload|ServeStream|FleetFailover", "benchmark name pattern (go test -bench)")
 	benchtime := flag.String("benchtime", "", "per-benchmark time or count (go test -benchtime)")
 	out := flag.String("out", "", "output path; default BENCH_<date>.json, \"-\" for stdout")
 	pkg := flag.String("pkg", ".", "package to benchmark")
@@ -160,7 +163,8 @@ func main() {
 // compareReports diffs one metric across two benchmark artifacts and
 // returns the process exit code: 0 when every benchmark present in both
 // stayed within threshold, 1 on a regression or when the files share no
-// benchmark reporting the metric.
+// benchmark reporting the metric. Baseline rows missing from the new
+// report are printed only.
 func compareReports(oldPath, newPath, metric string, threshold float64) int {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
@@ -206,6 +210,15 @@ func compareReports(oldPath, newPath, metric string, threshold float64) int {
 			mark = "  REGRESSION"
 		}
 		fmt.Printf("%-52s %14.1f %14.1f %+7.1f%%%s\n", r.Name, ov, nv, delta*100, mark)
+	}
+	newNames := map[string]bool{}
+	for _, r := range newRep.Results {
+		newNames[r.Name] = true
+	}
+	for _, r := range oldRep.Results {
+		if ov, ok := metricValue(r, metric); ok && !newNames[r.Name] {
+			fmt.Printf("%-52s %14.1f %14s\n", r.Name, ov, "MISSING")
+		}
 	}
 	if compared == 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: no benchmark in both %s and %s reports %q\n", oldPath, newPath, metric)

@@ -95,14 +95,6 @@ type Options struct {
 	// MemCachePages bounds the resident page count, LRU-evicted
 	// (0 = memio default).
 	MemCachePages int
-	// Prefetch gates the serve layer's batch warm pass: before the members
-	// of a read batch run, ScanStripes plans the array ranges their flat
-	// scans (name[a..b] over a target array) will read, and one
-	// memio.Accessor.PrefetchRanges call fetches the union — one host
-	// crossing per contiguous page run instead of one per element. Output
-	// and fault behavior are unchanged: unmapped or faulting stripes fall
-	// back to ordinary reads. The backends themselves never prefetch.
-	Prefetch bool
 	// Trace, when non-nil, makes the machine backend log every eval call
 	// in the style of the paper's §Semantics walkthrough of
 	// (1..3)+(5,9): one line per produced value (or NOVALUE) per node,
@@ -119,7 +111,6 @@ func DefaultOptions() Options {
 		MaxSteps:      0,
 		MaxExpand:     1 << 22,
 		MaxCStringLen: 200,
-		Prefetch:      true,
 	}
 }
 
@@ -144,10 +135,6 @@ type Counters struct {
 	Invalidations int64 // pages dropped by writes, allocs and call flushes
 	MemTransients int64 // transient target faults observed by the accessor
 	MemRetries    int64 // retries the accessor's backoff spent absorbing them
-
-	Prefetches      int64 // Prefetch requests issued (the serve batch warm pass)
-	PrefetchStripes int64 // host round-trips those prefetches batched into
-	PrefetchPages   int64 // pages made resident by prefetching
 }
 
 // errStop is the internal sentinel used to terminate enumeration early
@@ -261,9 +248,6 @@ func (e *Env) Counters() Counters {
 	c.Invalidations = s.Invalidations
 	c.MemTransients = s.Transients
 	c.MemRetries = s.Retries
-	c.Prefetches = s.Prefetches
-	c.PrefetchStripes = s.PrefetchStripes
-	c.PrefetchPages = s.PrefetchPages
 	c.SymRenders = e.syms.Renders
 	return c
 }

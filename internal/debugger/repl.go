@@ -299,8 +299,8 @@ func (r *REPL) help() {
                        callfail callhang all; seed= after= limit= delay= hang=)
   serve [w [n]] <expr>  run n copies of a query through a w-worker
                       evaluation server and report concurrent throughput
-                      (knobs: hedge retry deadline batch wait stream
-                       replicas — "help serve" for the full list)
+                      (knobs: retry deadline stream replicas —
+                       "help serve" for the full list)
   counters            evaluation statistics
   stats               last-eval time and host-read report
   quit
@@ -372,9 +372,7 @@ func (r *REPL) cmdServe(rest string) error {
 
 	// key=value resilience knobs. An unknown key falls through to the
 	// expression — "x=5" is a DUEL assignment, not an option.
-	var hedge serve.HedgeConfig
 	var retry serve.RetryConfig
-	var batch serve.BatchConfig
 	var deadline time.Duration
 	stream := false
 	replicas := 1
@@ -386,34 +384,16 @@ opts:
 		}
 		key, val := fields[0][:eq], fields[0][eq+1:]
 		switch key {
-		case "hedge", "retry", "stream":
+		case "retry", "stream":
 			on, err := parseOnOff(val)
 			if err != nil {
 				return fmt.Errorf("serve: %s=%s: %w", key, val, err)
 			}
-			switch key {
-			case "hedge":
-				hedge.Enabled = on
-			case "retry":
+			if key == "retry" {
 				retry.Disabled = !on
-			case "stream":
+			} else {
 				stream = on
 			}
-		case "batch":
-			// batch=on (default size) or batch=N (flush at N members).
-			if on, err := parseOnOff(val); err == nil {
-				batch.Enabled = on
-			} else if v, err := strconv.Atoi(val); err == nil && v > 0 {
-				batch.Enabled, batch.BatchSize = true, v
-			} else {
-				return fmt.Errorf("serve: bad batch %q (want on, off, or a positive size)", val)
-			}
-		case "wait":
-			d, err := time.ParseDuration(val)
-			if err != nil || d <= 0 {
-				return fmt.Errorf("serve: bad wait %q (want a positive duration)", val)
-			}
-			batch.MaxWait = d
 		case "deadline":
 			d, err := time.ParseDuration(val)
 			if err != nil || d <= 0 {
@@ -437,12 +417,12 @@ opts:
 		return fmt.Errorf(usage)
 	}
 	if replicas > 1 {
-		return r.serveFleet(workers, n, replicas, hedge, retry, batch, deadline, stream, expr)
+		return r.serveFleet(workers, n, replicas, retry, deadline, stream, expr)
 	}
 
 	sopts := r.Ses.Options()
 	plan := r.Inj.CurrentPlan()
-	srv := serve.New(serve.Config{Workers: workers, Session: sopts, Hedge: hedge, Retry: retry, Batch: batch})
+	srv := serve.New(serve.Config{Workers: workers, Session: sopts, Retry: retry})
 	var lane atomic.Int64
 	srv.RegisterFactory("repl", func() (*duel.Session, error) {
 		return duel.NewSession(faultdbg.New(r.Dbg, plan.Derive(lane.Add(1))), sopts)
@@ -492,16 +472,15 @@ opts:
 		st.Completed, elapsed.Round(time.Microsecond), workers, qps)
 	r.printf("admission: %d admitted, %d shed, %d refused by breaker, %d trips; %d evaluations failed\n",
 		st.Admitted, st.Shed, st.FastFails, st.Trips, failed.Load())
-	r.printf("resilience: %d deadline-expired, %d retried, %d hedged (%d wins), %d quarantined\n",
-		st.DeadlineExpired, st.Retried, st.Hedged, st.HedgeWins, st.Quarantined)
+	r.printf("resilience: %d deadline-expired, %d retried, %d quarantined\n",
+		st.DeadlineExpired, st.Retried, st.Quarantined)
 	meanQ, meanE := time.Duration(0), time.Duration(0)
 	if st.Completed > 0 {
 		meanQ = time.Duration(st.QueueNanos / st.Completed)
 		meanE = time.Duration(st.EvalNanos / st.Completed)
 	}
-	r.printf("batching: %d batched in %d flushes, %d target-lock takes; stream: %d queries, %d values; mean queue %v, eval %v\n",
-		st.BatchedQueries, st.BatchFlushes, st.TargetLocks,
-		st.StreamQueries, st.StreamValues,
+	r.printf("stream: %d queries, %d values; %d target-lock takes; mean queue %v, eval %v\n",
+		st.StreamQueries, st.StreamValues, st.TargetLocks,
 		meanQ.Round(time.Microsecond), meanE.Round(time.Microsecond))
 	if e := firstErr.Load(); e != nil {
 		r.printf("first failure: %s\n", *e)
@@ -517,7 +496,7 @@ opts:
 // divergence scrubbing all have something to do. Because every "replica" is
 // a view of the same underlying debuggee, only read-only expressions are
 // allowed — a write fan-out would apply the mutation once per replica.
-func (r *REPL) serveFleet(workers, n, replicas int, hedge serve.HedgeConfig, retry serve.RetryConfig, batch serve.BatchConfig, deadline time.Duration, stream bool, expr string) error {
+func (r *REPL) serveFleet(workers, n, replicas int, retry serve.RetryConfig, deadline time.Duration, stream bool, expr string) error {
 	sopts := r.Ses.Options()
 	plan := r.Inj.CurrentPlan()
 	var lane atomic.Int64
@@ -525,7 +504,7 @@ func (r *REPL) serveFleet(workers, n, replicas int, hedge serve.HedgeConfig, ret
 	reps := make([]fleet.Replica, replicas)
 	for i := 0; i < replicas; i++ {
 		rp := plan.DeriveReplica("repl", i)
-		srv := serve.New(serve.Config{Workers: workers, Session: sopts, Hedge: hedge, Retry: retry, Batch: batch})
+		srv := serve.New(serve.Config{Workers: workers, Session: sopts, Retry: retry})
 		srv.RegisterFactory("repl", func() (*duel.Session, error) {
 			return duel.NewSession(faultdbg.New(r.Dbg, rp.Derive(lane.Add(1))), sopts)
 		})
@@ -670,21 +649,14 @@ func (r *REPL) helpServe() {
 
 Runs n copies (default 64) of the expression through a temporary
 workers-wide (default 4) evaluation server over this target and reports
-throughput plus the server's admission, resilience, batching and
-streaming counters. Pooled sessions inherit the current fault plan.
+throughput plus the server's admission, resilience and streaming
+counters. Pooled sessions inherit the current fault plan.
 
 Knobs (between the numbers and the expression):
-  hedge=on|off     hedged reads: fire a backup attempt for a slow read-only
-                   query; first result wins, the loser is canceled (off)
   retry=on|off     serve-layer retry of transient infra failures under the
                    per-target token-bucket budget (on)
   deadline=dur     per-query end-to-end deadline, queue time included
                    (e.g. deadline=50ms; expired-in-queue queries are shed)
-  batch=on|off|N   coalesce read-only queries per target: one lock take and
-                   one prefetch warm pass per batch; N sets the flush size
-                   (default %d)
-  wait=dur         batch MaxWait: flush a lone query's batch after this long
-                   rather than waiting for company (default %v)
   stream=on|off    submit through SubmitStream, delivering each value as it
                    is produced instead of collecting transcripts (off)
   replicas=N       fleet mode: route the same traffic through a replica
@@ -695,7 +667,7 @@ Knobs (between the numbers and the expression):
                    divergence, and the report adds fleet counters
                    (failovers, exhausted routes, scrub runs, divergences)
                    plus per-replica health. Read-only expressions only (1)
-`, serve.DefaultBatchSize, serve.DefaultBatchMaxWait)
+`)
 }
 
 // parseOnOff parses the REPL's boolean option syntax.

@@ -639,14 +639,16 @@ func TestServeCommand(t *testing.T) {
 }
 
 // TestServeCommandKnobs: the resilience knobs parse between the numeric
-// arguments and the expression, hedging shows up in the resilience line, a
-// generous deadline sheds nothing, and a bad knob value is a typed error
-// instead of a mis-parsed expression.
+// arguments and the expression, a generous deadline sheds nothing, a bad
+// knob value is a typed error instead of a mis-parsed expression, and a key
+// that is no knob, such as hedge=, falls through to the expression, which
+// then fails to parse.
 func TestServeCommandKnobs(t *testing.T) {
 	out := runScript(t, listProgram,
 		"run",
-		"serve 2 8 hedge=on retry=off deadline=10s head-->next->v",
-		"serve 1 1 hedge=maybe head",
+		"serve 2 8 retry=off deadline=10s stream=on head-->next->v",
+		"serve 1 1 retry=maybe head",
+		"serve 1 1 hedge=on head",
 		"quit",
 	)
 	for _, want := range []string{
@@ -654,7 +656,9 @@ func TestServeCommandKnobs(t *testing.T) {
 		"admission: 8 admitted, 0 shed",
 		"0 evaluations failed",
 		"resilience: 0 deadline-expired, 0 retried,",
-		"serve: hedge=maybe: want on or off",
+		"stream: 8 queries, 24 values;",
+		"serve: retry=maybe: want on or off",
+		`first failure: 1:10: expected end of input, found "head"`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("serve knob output missing %q:\n%s", want, out)

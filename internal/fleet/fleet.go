@@ -3,7 +3,7 @@
 // the death of a single read.
 //
 // The serving layer's resilience machinery (breakers, retry budgets,
-// hedging, health-driven brownout and quarantine) is all per-target on one
+// health-driven brownout and quarantine) is all per-target on one
 // node: when the target itself dies — the process is gone, the core file is
 // corrupt, the substrate wedges permanently — every query against it fails,
 // however politely. The fleet layer lifts the same rate-based health
@@ -43,7 +43,7 @@
 //     silently-corrupted replica is quarantined, not just a slow one.
 //
 // The router owns no servers: callers build the serve nodes (with whatever
-// per-node worker pools, batchers and fault injectors they want), register
+// per-node worker pools and fault injectors they want), register
 // replicas, and keep responsibility for Shutdown. Close stops only the
 // scrubber.
 package fleet
@@ -406,8 +406,8 @@ func (r *Router) Eval(ctx context.Context, groupName, src string) ([]duel.Result
 	return r.EvalWith(ctx, groupName, src, serve.SubmitOptions{})
 }
 
-// EvalWith is Eval with per-query serving options (deadline, hedging —
-// applied by whichever replica serves the query).
+// EvalWith is Eval with per-query serving options (the deadline, applied
+// by whichever replica serves the query).
 func (r *Router) EvalWith(ctx context.Context, groupName, src string, opt serve.SubmitOptions) ([]duel.Result, error) {
 	var mu sync.Mutex
 	var out []duel.Result

@@ -4,7 +4,7 @@
 // and its performance hinges on how many of those round-trips an expression
 // like x[..100000] >? 0 or a -->next list walk performs. Hanson's nub paper
 // (MSR-TR-99-4) draws the same conclusion for any narrow debugger interface:
-// batch and cache reads on the debugger side of the boundary instead of
+// instrument and cache reads on the debugger side of the boundary instead of
 // sprinkling raw byte fetches through the evaluator.
 //
 // Accessor wraps a dbgif.Debugger and is itself a dbgif.Debugger, so every
@@ -15,11 +15,6 @@
 //     count) with write-through invalidation on PutTargetBytes and
 //     AllocTargetSpace, and a conservative whole-cache flush around
 //     CallTargetFunc (a target call may mutate arbitrary memory);
-//   - Prefetch, a batched read that makes a whole scan range resident in one
-//     host crossing per contiguous page run; the serve batcher's warm pass
-//     drives it, and the same invalidation machinery keeps the stripes
-//     coherent (with the cache off they are released when the batch ends,
-//     see ReleasePrefetched and EndBatch);
 //   - typed fault errors (Fault{Addr, Len, Op}) replacing ad-hoc error
 //     strings, so --> expansion and the symbolic error messages can
 //     distinguish unmapped reads from short (partially mapped) reads;
@@ -29,8 +24,10 @@
 //
 // Caching is off by default — one engine request, one host round-trip —
 // which is faithful to the paper's implementation; core.Options.MemCache
-// turns it on. Symbol, type and frame lookups are delegated to the wrapped
-// debugger untouched: memio instruments memory, not symbols.
+// turns it on. With it off the accessor holds no pages at all, and a read
+// that does not fault takes no lock. Symbol, type and frame lookups are
+// delegated to the wrapped debugger untouched: memio instruments memory,
+// not symbols.
 package memio
 
 import (
@@ -219,10 +216,6 @@ type Stats struct {
 	Invalidations int64 // pages dropped by writes, allocs and call flushes
 	Flushes       int64 // conservative whole-cache flushes (target calls)
 
-	Prefetches      int64 // Prefetch requests from the engine
-	PrefetchStripes int64 // host round-trips those requests batched into
-	PrefetchPages   int64 // pages made resident by prefetching
-
 	Transients int64 // transient faults observed (including retried-away ones)
 	Retries    int64 // retry attempts issued after transient faults
 }
@@ -243,13 +236,10 @@ type Accessor struct {
 	intrMu sync.Mutex
 	abort  chan struct{} // closed by Interrupt, replaced by Resume
 	mu     sync.Mutex
-	pages  map[uint64]*list.Element
-	lru    *list.List // front = most recently used; elements hold *page
-	// resident mirrors lru.Len(): it is stored under mu whenever the
-	// resident set changes, so ValidTargetAddr and FetchTargetBytes can
-	// see without mu that no page is resident.
-	resident atomic.Int64
-	stats    Stats // changed under mu
+	// pages and lru are the page cache, nil when Config.Cache is off.
+	pages map[uint64]*list.Element
+	lru   *list.List // front = most recently used; elements hold *page
+	stats Stats      // changed under mu
 	// direct and directBytes count the reads of the lock-free path: each
 	// is one engine read and one host round-trip of its bytes, so Stats
 	// adds them to Reads and HostReads, and to ReadBytes and HostBytes.
@@ -260,9 +250,6 @@ type Accessor struct {
 	direct      atomic.Int64
 	directBytes atomic.Int64
 	_           [48]byte
-	// pins counts open BeginBatch scopes; while positive, ReleasePrefetched
-	// is deferred so one warm pass can serve several evaluations.
-	pins int
 }
 
 type page struct {
@@ -288,12 +275,12 @@ func New(d dbgif.Debugger, cfg Config) *Accessor {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
-	// The page store exists even with the cache off: Prefetch installs
-	// pages into it on demand. Empty, it costs one length check per read.
 	a := &Accessor{Debugger: d, src: dbgif.FetcherOf(d), cfg: cfg}
 	a.abort = make(chan struct{})
-	a.pages = make(map[uint64]*list.Element)
-	a.lru = list.New()
+	if cfg.Cache {
+		a.pages = make(map[uint64]*list.Element)
+		a.lru = list.New()
+	}
 	return a
 }
 
@@ -448,7 +435,6 @@ func (a *Accessor) flushLocked() {
 	a.stats.Flushes++
 	a.pages = make(map[uint64]*list.Element)
 	a.lru.Init()
-	a.resident.Store(0)
 }
 
 // GetTargetBytes implements dbgif.Debugger: FetchTargetBytes into a fresh
@@ -460,19 +446,15 @@ func (a *Accessor) GetTargetBytes(addr uint64, n int) ([]byte, error) {
 // FetchTargetBytes implements dbgif.Fetcher: it fills dst, which the caller
 // owns, and allocates nothing of its own unless a cache miss fills a page.
 //
-// With the cache off and no page resident (the default) a read is one host
-// round-trip, and one that does not fault takes no lock: it is counted in
-// two atomics. A fault is retried and typed under the lock, as on the
-// locked path. Otherwise reads go through the page cache, and fall back to
-// one uncached host read for ranges whose pages are not fully mapped, so
-// partial mappings behave exactly as they do with the cache off. With the
-// cache off, resident pages installed by Prefetch still serve reads (that
-// is the point of prefetching), but misses never fill pages: only
-// prefetched ranges are batched, everything else stays one engine read =
-// one host round-trip.
+// With the cache off (the default) a read is one host round-trip, and one
+// that does not fault takes no lock: it is counted in two atomics. A fault
+// is retried and typed under the lock. With the cache on, reads go through
+// the page cache, and fall back to one uncached host read for ranges whose
+// pages are not fully mapped, so partial mappings behave exactly as they do
+// with the cache off.
 func (a *Accessor) FetchTargetBytes(addr uint64, dst []byte) error {
 	n := len(dst)
-	if !a.cfg.Cache && a.resident.Load() == 0 && !a.interrupted.Load() {
+	if !a.cfg.Cache && !a.interrupted.Load() {
 		a.direct.Add(1)
 		a.directBytes.Add(int64(n))
 		err := a.src.FetchTargetBytes(addr, dst)
@@ -491,7 +473,7 @@ func (a *Accessor) FetchTargetBytes(addr uint64, dst []byte) error {
 	if a.interrupted.Load() {
 		return a.interruptedErr(OpRead, addr, n)
 	}
-	if !a.cfg.Cache && a.lru.Len() == 0 || n == 0 || addr+uint64(n) < addr {
+	if !a.cfg.Cache || n == 0 || addr+uint64(n) < addr {
 		a.stats.HostReads++
 		return a.hostFetch(addr, dst, a.src.FetchTargetBytes(addr, dst))
 	}
@@ -500,9 +482,7 @@ func (a *Accessor) FetchTargetBytes(addr uint64, dst []byte) error {
 		cur := addr + uint64(off)
 		pg := a.pageFor(cur &^ (ps - 1))
 		if pg == nil {
-			if a.cfg.Cache {
-				a.stats.Misses++
-			}
+			a.stats.Misses++
 			if err := a.hostRead(cur, dst[off:]); err != nil {
 				return a.fault(OpRead, addr, n, err)
 			}
@@ -547,18 +527,14 @@ func (a *Accessor) retryRead(addr uint64, dst []byte, err error) error {
 	return nil
 }
 
-// pageFor returns the resident page at base, filling it from the host if the
-// cache is enabled and the whole page is mapped, or nil when the range must
-// be read uncached. With the cache off (prefetch-only mode) a miss never
-// fills: an ordinary read must not grow the resident set.
+// pageFor returns the cached page at base, filling it from the host if the
+// whole page is mapped, or nil when the range must be read uncached. Called
+// with mu held and the cache on.
 func (a *Accessor) pageFor(base uint64) *page {
 	if el, ok := a.pages[base]; ok {
 		a.stats.Hits++
 		a.lru.MoveToFront(el)
 		return el.Value.(*page)
-	}
-	if !a.cfg.Cache {
-		return nil
 	}
 	if !a.Debugger.ValidTargetAddr(base, a.cfg.PageSize) {
 		return nil
@@ -574,8 +550,7 @@ func (a *Accessor) pageFor(base uint64) *page {
 	return pg
 }
 
-// evictLocked drops least recently used pages down to the MaxPages bound
-// and publishes the resident count.
+// evictLocked drops least recently used pages down to the MaxPages bound.
 func (a *Accessor) evictLocked() {
 	for a.lru.Len() > a.cfg.MaxPages {
 		back := a.lru.Back()
@@ -583,7 +558,6 @@ func (a *Accessor) evictLocked() {
 		a.lru.Remove(back)
 		a.stats.Evictions++
 	}
-	a.resident.Store(int64(a.lru.Len()))
 }
 
 // PutTargetBytes implements dbgif.Debugger: write-through, then invalidate
@@ -605,19 +579,19 @@ func (a *Accessor) PutTargetBytes(addr uint64, b []byte) error {
 	return nil
 }
 
-// ValidTargetAddr implements dbgif.Debugger. A range fully covered by
-// resident pages — cached or prefetched — is known mapped without a host
-// round-trip: the hot path of --> list walks, which validate every pointer
-// before following it. With no page resident (the cache off and nothing
-// prefetched, the default) it asks the substrate without taking mu.
+// ValidTargetAddr implements dbgif.Debugger. With the cache on, a range
+// fully covered by cached pages is known mapped without a host round-trip:
+// the hot path of --> list walks, which validate every pointer before
+// following it. With the cache off (the default) it asks the substrate
+// without taking mu.
 func (a *Accessor) ValidTargetAddr(addr uint64, n int) bool {
-	if a.resident.Load() > 0 && n > 0 && addr+uint64(n)-1 >= addr && a.covered(addr, n) {
+	if a.cfg.Cache && n > 0 && addr+uint64(n)-1 >= addr && a.covered(addr, n) {
 		return true
 	}
 	return a.Debugger.ValidTargetAddr(addr, n)
 }
 
-// covered reports whether resident pages cover [addr, addr+n), n > 0.
+// covered reports whether cached pages cover [addr, addr+n), n > 0.
 func (a *Accessor) covered(addr uint64, n int) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -630,140 +604,6 @@ func (a *Accessor) covered(addr uint64, n int) bool {
 		if base == last {
 			return true
 		}
-	}
-}
-
-// Prefetch makes the pages covering [addr, addr+n) resident ahead of a scan,
-// batching each contiguous run of absent, mapped pages into one host
-// round-trip. It is purely an optimization: unmapped or faulting stripes are
-// skipped silently, and the reads that later touch them fall back to the
-// ordinary path and fault (or succeed) exactly as they would have without
-// prefetching. Write-through invalidation, allocation invalidation and the
-// conservative flush around target calls apply to prefetched pages like any
-// cached page, so they can never serve stale bytes through this accessor.
-// With the cache disabled the resident set lives only as long as the caller
-// lets it (see ReleasePrefetched).
-func (a *Accessor) Prefetch(addr uint64, n int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.prefetchLocked(addr, n)
-}
-
-// Range is one contiguous stripe of target addresses, the unit of a batch
-// warm pass.
-type Range struct {
-	Addr uint64
-	Len  int
-}
-
-// PrefetchRanges is Prefetch over several stripes under one lock
-// acquisition — the serve batcher's warm pass hands the union of its
-// members' planned scan stripes here so a whole batch pays one pass over
-// the accessor instead of one per member.
-func (a *Accessor) PrefetchRanges(rs []Range) {
-	if len(rs) == 0 {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, r := range rs {
-		a.prefetchLocked(r.Addr, r.Len)
-	}
-}
-
-func (a *Accessor) prefetchLocked(addr uint64, n int) {
-	if n <= 0 || addr+uint64(n) < addr || a.interrupted.Load() {
-		return
-	}
-	a.stats.Prefetches++
-	ps := uint64(a.cfg.PageSize)
-	first := addr &^ (ps - 1)
-	pages := int(((addr+uint64(n)-1)&^(ps-1)-first)/ps) + 1
-	if pages > a.cfg.MaxPages {
-		pages = a.cfg.MaxPages // more would immediately evict itself
-	}
-	for i := 0; i < pages; {
-		base := first + uint64(i)*ps
-		if _, ok := a.pages[base]; ok || !a.Debugger.ValidTargetAddr(base, a.cfg.PageSize) {
-			i++
-			continue
-		}
-		run := 1
-		for i+run < pages {
-			nb := base + uint64(run)*ps
-			if _, ok := a.pages[nb]; ok {
-				break
-			}
-			if !a.Debugger.ValidTargetAddr(nb, a.cfg.PageSize) {
-				break
-			}
-			run++
-		}
-		b := make([]byte, run*int(ps))
-		err := a.hostRead(base, b)
-		i += run
-		if err != nil {
-			continue
-		}
-		a.stats.PrefetchStripes++
-		a.stats.PrefetchPages += int64(run)
-		for k := 0; k < run; k++ {
-			pb := base + uint64(k)*ps
-			pg := &page{base: pb, data: b[k*int(ps) : (k+1)*int(ps)]}
-			a.pages[pb] = a.lru.PushFront(pg)
-		}
-		a.evictLocked()
-	}
-}
-
-// ReleasePrefetched drops the resident pages of a cache-off accessor, so
-// that, with the page cache off, prefetched stripes never outlive the work
-// that requested them: afterwards the accessor is back to the faithful
-// one-read-one-round-trip regime even if the target is mutated behind the
-// accessor's back (e.g. by running debuggee code directly). With the cache
-// on it is a no-op — the pages ARE the cache, and the usual invalidation
-// rules govern their lifetime. Inside a BeginBatch/EndBatch scope the
-// release is deferred to EndBatch, so one warm pass survives all of a
-// batch's member evaluations.
-func (a *Accessor) ReleasePrefetched() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.pins > 0 {
-		return
-	}
-	a.releasePrefetchedLocked()
-}
-
-func (a *Accessor) releasePrefetchedLocked() {
-	if a.cfg.Cache || a.lru.Len() == 0 {
-		return
-	}
-	a.pages = make(map[uint64]*list.Element)
-	a.lru.Init()
-	a.resident.Store(0)
-}
-
-// BeginBatch opens a pin scope: until the matching EndBatch, the resident
-// set survives ReleasePrefetched, so stripes warmed once ahead of a batch
-// serve every member evaluation. Writes, allocations and target calls still
-// invalidate normally — pinning defers only the end-of-eval release, never
-// coherence. Scopes nest.
-func (a *Accessor) BeginBatch() {
-	a.mu.Lock()
-	a.pins++
-	a.mu.Unlock()
-}
-
-// EndBatch closes a pin scope; closing the last one performs the release a
-// cache-off accessor deferred during the batch.
-func (a *Accessor) EndBatch() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.pins > 0 {
-		a.pins--
-	}
-	if a.pins == 0 {
-		a.releasePrefetchedLocked()
 	}
 }
 
@@ -814,7 +654,6 @@ func (a *Accessor) invalidate(addr uint64, n int) {
 			break
 		}
 	}
-	a.resident.Store(int64(a.lru.Len()))
 }
 
 // fault wraps a host read/write error in a classified Fault. Faults from a

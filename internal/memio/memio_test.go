@@ -140,19 +140,28 @@ func TestCallInvalidation(t *testing.T) {
 }
 
 // TestAllocInvalidation: allocation carves storage out of already-mapped
-// RAM, so pages cached over the region are dropped.
+// RAM, so pages cached over the region are dropped and a read of the new
+// storage goes to the host.
 func TestAllocInvalidation(t *testing.T) {
 	f := newFake(1 << 12)
 	a := memio.New(f, memio.Config{Cache: true, PageSize: 16})
-	if _, err := a.GetTargetBytes(f.Base, 64); err != nil {
+	if _, err := a.GetTargetBytes(f.Base, 1<<12); err != nil {
 		t.Fatal(err)
 	}
 	before := a.CachedPages()
-	if _, err := a.AllocTargetSpace(32, 4); err != nil {
+	addr, err := a.AllocTargetSpace(32, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if after := a.CachedPages(); after >= before {
 		t.Errorf("alloc did not invalidate: %d -> %d pages", before, after)
+	}
+	hostBefore := a.Stats().HostReads
+	if _, err := a.GetTargetBytes(addr, 32); err != nil {
+		t.Fatal(err)
+	}
+	if a.Stats().HostReads == hostBefore {
+		t.Error("read of allocated storage was served from a stale page")
 	}
 }
 
@@ -314,196 +323,4 @@ func TestConcurrentAccessors(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// --- prefetch ---
-
-// TestPrefetchBatchesHostReads: with the cache OFF, one Prefetch pulls a
-// whole scan range in a single host crossing, and the scan's reads are then
-// served from the resident stripes without further round-trips.
-func TestPrefetchBatchesHostReads(t *testing.T) {
-	f := newFake(1 << 12)
-	a := memio.New(f, memio.Config{PageSize: 16})
-	a.Prefetch(f.Base+8, 100) // pages [0,112): 7 pages, one contiguous run
-
-	s := a.Stats()
-	if s.Prefetches != 1 || s.PrefetchStripes != 1 || s.PrefetchPages != 7 {
-		t.Fatalf("prefetch stats = %+v", s)
-	}
-	if s.HostReads != 1 {
-		t.Fatalf("prefetch issued %d host reads, want 1", s.HostReads)
-	}
-	if a.CachedPages() != 7 {
-		t.Fatalf("resident pages = %d, want 7", a.CachedPages())
-	}
-
-	// Scan the prefetched range: engine reads, zero new host reads.
-	for off := 8; off < 108; off += 4 {
-		b, err := a.GetTargetBytes(f.Base+uint64(off), 4)
-		if err != nil || b[0] != byte(off) {
-			t.Fatalf("read at +%d = %x, %v", off, b, err)
-		}
-	}
-	if s := a.Stats(); s.HostReads != 1 {
-		t.Errorf("scan over prefetched range hit the host: %d reads", s.HostReads)
-	}
-
-	// A read outside the stripes is an ordinary uncached host read and must
-	// NOT grow the resident set (cache is off).
-	if _, err := a.GetTargetBytes(f.Base+512, 4); err != nil {
-		t.Fatal(err)
-	}
-	if s := a.Stats(); s.HostReads != 2 {
-		t.Errorf("uncached read host reads = %d, want 2", s.HostReads)
-	}
-	if a.CachedPages() != 7 {
-		t.Errorf("cache-off miss filled a page: %d resident", a.CachedPages())
-	}
-
-	// ReleasePrefetched restores the faithful pass-through regime.
-	a.ReleasePrefetched()
-	if a.CachedPages() != 0 {
-		t.Fatalf("release left %d pages", a.CachedPages())
-	}
-	if _, err := a.GetTargetBytes(f.Base+8, 4); err != nil {
-		t.Fatal(err)
-	}
-	if s := a.Stats(); s.HostReads != 3 {
-		t.Errorf("post-release read host reads = %d, want 3", s.HostReads)
-	}
-}
-
-// TestPrefetchWriteInvalidation: a target write between two prefetched scans
-// invalidates the covered stripe pages, and the next scan re-reads them.
-func TestPrefetchWriteInvalidation(t *testing.T) {
-	f := newFake(1 << 12)
-	a := memio.New(f, memio.Config{PageSize: 16})
-	a.Prefetch(f.Base, 128) // 8 pages
-
-	if err := a.PutTargetBytes(f.Base+32, []byte{0xAA, 0xBB}); err != nil {
-		t.Fatal(err)
-	}
-	if s := a.Stats(); s.Invalidations != 1 {
-		t.Fatalf("write did not invalidate the stripe page: %+v", s)
-	}
-	b, err := a.GetTargetBytes(f.Base+32, 2)
-	if err != nil || b[0] != 0xAA || b[1] != 0xBB {
-		t.Fatalf("read after write = %x, %v (stale stripe)", b, err)
-	}
-	// Re-prefetching makes only the invalidated page absent again: the next
-	// prefetch re-reads exactly that hole.
-	before := a.Stats().HostReads
-	a.Prefetch(f.Base, 128)
-	s := a.Stats()
-	if s.HostReads != before+1 {
-		t.Errorf("re-prefetch issued %d host reads, want 1", s.HostReads-before)
-	}
-	if a.CachedPages() != 8 {
-		t.Errorf("resident pages after re-prefetch = %d, want 8", a.CachedPages())
-	}
-}
-
-// TestPrefetchAllocInvalidation: an allocation between two prefetched scans
-// drops the stripes it overlays, exactly like cached pages.
-func TestPrefetchAllocInvalidation(t *testing.T) {
-	f := newFake(1 << 12)
-	a := memio.New(f, memio.Config{PageSize: 16})
-	a.Prefetch(f.Base, 1<<12)
-	before := a.CachedPages()
-	if before == 0 {
-		t.Fatal("nothing prefetched")
-	}
-	addr, err := a.AllocTargetSpace(32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := a.CachedPages(); after >= before {
-		t.Fatalf("alloc did not invalidate prefetched pages: %d -> %d", before, after)
-	}
-	hostBefore := a.Stats().HostReads
-	if _, err := a.GetTargetBytes(addr, 32); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Stats().HostReads; got == hostBefore {
-		t.Error("read of allocated storage was served from a stale stripe")
-	}
-}
-
-// TestPrefetchCallInvalidation: a target call between two prefetched scans
-// flushes every stripe — the callee may have written anywhere.
-func TestPrefetchCallInvalidation(t *testing.T) {
-	f := newFake(1 << 12)
-	a := memio.New(f, memio.Config{PageSize: 16})
-	fn := uint64(0x9000)
-	f.Funcs[fn] = func([]dbgif.Value) (dbgif.Value, error) {
-		f.RAM[64] = 0x5A
-		return dbgif.Value{Type: f.A.Int, Bytes: []byte{0, 0, 0, 0}}, nil
-	}
-	a.Prefetch(f.Base, 256)
-	if a.CachedPages() == 0 {
-		t.Fatal("nothing prefetched")
-	}
-	if _, err := a.CallTargetFunc(fn, nil); err != nil {
-		t.Fatal(err)
-	}
-	if a.CachedPages() != 0 {
-		t.Fatalf("stripes survived a target call: %d", a.CachedPages())
-	}
-	b, err := a.GetTargetBytes(f.Base+64, 1)
-	if err != nil || b[0] != 0x5A {
-		t.Errorf("read after call = %x, %v (stale stripe)", b, err)
-	}
-}
-
-// TestPrefetchSkipsUnmapped: a prefetch running off the end of RAM installs
-// only the mapped pages; reads beyond still fault exactly as without it.
-func TestPrefetchSkipsUnmapped(t *testing.T) {
-	f := newFake(64) // maps [0x1000, 0x1040)
-	a := memio.New(f, memio.Config{PageSize: 16})
-	a.Prefetch(f.Base, 256)
-	if got := a.CachedPages(); got != 4 {
-		t.Fatalf("resident pages = %d, want the 4 mapped ones", got)
-	}
-	if _, err := a.GetTargetBytes(f.Base, 64); err != nil {
-		t.Fatal(err)
-	}
-	_, err := a.GetTargetBytes(f.Base+64, 8)
-	var flt *memio.Fault
-	if !errors.As(err, &flt) || flt.Kind != memio.KindUnmapped {
-		t.Fatalf("read past RAM after prefetch: %v, want unmapped fault", err)
-	}
-}
-
-// TestPrefetchRespectsLRUBound: prefetching more than MaxPages keeps the
-// resident set bounded.
-func TestPrefetchRespectsLRUBound(t *testing.T) {
-	f := newFake(1 << 12)
-	a := memio.New(f, memio.Config{PageSize: 16, MaxPages: 8})
-	a.Prefetch(f.Base, 1<<12) // 256 pages' worth
-	if got := a.CachedPages(); got > 8 {
-		t.Fatalf("resident pages = %d, want <= 8", got)
-	}
-}
-
-// TestPrefetchCacheOnIntegration: with the cache ON, prefetched pages join
-// the ordinary LRU and ReleasePrefetched leaves them alone.
-func TestPrefetchCacheOnIntegration(t *testing.T) {
-	f := newFake(1 << 12)
-	a := memio.New(f, memio.Config{Cache: true, PageSize: 16})
-	a.Prefetch(f.Base, 128)
-	got := a.CachedPages()
-	if got != 8 {
-		t.Fatalf("resident pages = %d, want 8", got)
-	}
-	a.ReleasePrefetched()
-	if a.CachedPages() != got {
-		t.Error("ReleasePrefetched dropped pages of a cache-on accessor")
-	}
-	hostBefore := a.Stats().HostReads
-	if _, err := a.GetTargetBytes(f.Base, 128); err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats().HostReads != hostBefore {
-		t.Error("cache-on read of prefetched range hit the host")
-	}
 }

@@ -33,12 +33,12 @@ func TestReadAllocs(t *testing.T) {
 }
 
 // TestFetchTakesNoLock checks the lock-free read path: with the cache off
-// and no page resident a fetch completes while the accessor's mutex is
-// held elsewhere, and once a page is resident it waits for the mutex.
+// a fetch completes while the accessor's mutex is held elsewhere, and with
+// the cache on it waits for the mutex.
 func TestFetchTakesNoLock(t *testing.T) {
 	f := newFake(1 << 12)
 	a := memio.New(f, memio.Config{PageSize: 16})
-	fetch := func() chan error {
+	fetch := func(a *memio.Accessor) chan error {
 		done := make(chan error, 1)
 		go func() {
 			var dst [4]byte
@@ -49,21 +49,21 @@ func TestFetchTakesNoLock(t *testing.T) {
 
 	unlock := memio.Lock(a)
 	select {
-	case err := <-fetch():
+	case err := <-fetch(a):
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cache-off fetch with no resident page waited for the accessor mutex")
+		t.Fatal("cache-off fetch waited for the accessor mutex")
 	}
 	unlock()
 
-	a.Prefetch(f.Base, 16)
-	unlock = memio.Lock(a)
-	done := fetch()
+	on := memio.New(f, memio.Config{Cache: true, PageSize: 16})
+	unlock = memio.Lock(on)
+	done := fetch(on)
 	select {
 	case <-done:
-		t.Fatal("fetch with a resident page ran without the accessor mutex")
+		t.Fatal("cache-on fetch ran without the accessor mutex")
 	case <-time.After(20 * time.Millisecond):
 	}
 	unlock()
@@ -72,15 +72,19 @@ func TestFetchTakesNoLock(t *testing.T) {
 	}
 }
 
-// TestFetchLeavesNoStaleByte fetches ranges that span resident pages and
-// the substrate into a buffer pre-filled with 0xAA: every byte must come
-// from the target.
+// TestFetchLeavesNoStaleByte fetches ranges that span cached pages and the
+// substrate into a buffer pre-filled with 0xAA: every byte must come from
+// the target. RAM ends inside the third page, so with the cache on a range
+// reaching it is copied from cached pages up to there and read uncached
+// from there on.
 func TestFetchLeavesNoStaleByte(t *testing.T) {
-	f := newFake(1 << 12)
+	f := newFake(40)
 	for _, cfg := range []memio.Config{{PageSize: 16}, {Cache: true, PageSize: 16}} {
 		a := memio.New(f, cfg)
-		a.Prefetch(f.Base, 16) // page 0 resident, page 1 not (cache off)
-		for _, r := range [][2]int{{8, 24}, {0, 40}, {4, 8}, {20, 30}} {
+		if _, err := a.GetTargetBytes(f.Base, 16); err != nil { // page 0 cached (cache on)
+			t.Fatal(err)
+		}
+		for _, r := range [][2]int{{8, 24}, {0, 40}, {4, 8}, {20, 20}, {30, 10}} {
 			dst := bytes.Repeat([]byte{0xAA}, r[1])
 			if err := a.FetchTargetBytes(f.Base+uint64(r[0]), dst); err != nil {
 				t.Fatal(err)
@@ -92,7 +96,7 @@ func TestFetchLeavesNoStaleByte(t *testing.T) {
 	}
 }
 
-// TestFetchRace runs fetches concurrently with Prefetch, ReleasePrefetched,
+// TestFetchRace runs fetches concurrently with ValidTargetAddr, Flush,
 // PutTargetBytes and Stats on one accessor (run under -race in CI). The
 // writer and the readers use disjoint ranges: the accessor's own state is
 // what is under test, not the substrate's.
@@ -122,9 +126,9 @@ func TestFetchRace(t *testing.T) {
 			})
 		}
 		run(func(i int) {
-			a.Prefetch(f.Base+uint64(i%64)*16, 64)
+			a.ValidTargetAddr(f.Base+uint64(i%64)*16, 64)
 			if i%5 == 0 {
-				a.ReleasePrefetched()
+				a.Flush()
 			}
 		})
 		run(func(i int) {

@@ -20,11 +20,11 @@ func (v *validCounter) ValidTargetAddr(addr uint64, n int) bool {
 	return v.Debugger.ValidTargetAddr(addr, n)
 }
 
-// TestResidentCount checks the resident-page count that ValidTargetAddr
-// reads without the accessor's lock after every operation that changes the
-// resident set: it must equal CachedPages, ValidTargetAddr must agree with
-// the substrate, and a range inside resident pages must be answered
-// without asking the substrate.
+// TestResidentCount checks the resident-page count of a cache-on accessor
+// after every operation that changes it, and that ValidTargetAddr agrees
+// with the substrate throughout: a range inside resident pages is answered
+// without asking the substrate, anything else is asked. A cache-off
+// accessor holds no page and asks the substrate once per call.
 func TestResidentCount(t *testing.T) {
 	f := newFake(1 << 12)
 	sub := &validCounter{Debugger: f}
@@ -33,10 +33,10 @@ func TestResidentCount(t *testing.T) {
 		addr uint64
 		n    int
 	}{{f.Base, 4}, {f.Base + 40, 16}, {f.Base + 100, 200}, {end - 4, 4}, {end - 2, 4}, {end, 1}, {0x10, 4}, {f.Base, 0}}
-	check := func(a *memio.Accessor, step string) {
+	check := func(a *memio.Accessor, step string, pages int) {
 		t.Helper()
-		if got, want := memio.Resident(a), a.CachedPages(); got != want {
-			t.Errorf("%s: resident count %d, CachedPages %d", step, got, want)
+		if got := a.CachedPages(); got != pages {
+			t.Errorf("%s: %d resident pages, want %d", step, got, pages)
 		}
 		for _, p := range probes {
 			if got, want := a.ValidTargetAddr(p.addr, p.n), f.ValidTargetAddr(p.addr, p.n); got != want {
@@ -46,52 +46,49 @@ func TestResidentCount(t *testing.T) {
 	}
 
 	off := memio.New(sub, memio.Config{PageSize: 16})
-	check(off, "new")
-	off.Prefetch(f.Base, 128) // 8 pages
-	check(off, "prefetch")
-	before := sub.calls.Load()
-	if !off.ValidTargetAddr(f.Base+8, 16) || sub.calls.Load() != before {
-		t.Errorf("a range inside prefetched pages asked the substrate")
-	}
-	if err := off.PutTargetBytes(f.Base+32, []byte{1}); err != nil {
+	check(off, "cache off", 0)
+	if _, err := off.GetTargetBytes(f.Base, 64); err != nil {
 		t.Fatal(err)
 	}
-	check(off, "write invalidation")
-	off.ReleasePrefetched()
-	check(off, "release")
-	off.BeginBatch()
-	off.Prefetch(f.Base, 64)
-	off.ReleasePrefetched() // deferred by the pin
-	check(off, "release inside a batch")
-	off.EndBatch()
-	check(off, "end batch")
-	before = sub.calls.Load()
+	check(off, "cache-off read", 0)
+	before := sub.calls.Load()
 	if !off.ValidTargetAddr(f.Base, 4) || sub.calls.Load() != before+1 {
-		t.Errorf("with no page resident, ValidTargetAddr made %d substrate calls, want 1", sub.calls.Load()-before)
+		t.Errorf("cache off: ValidTargetAddr made %d substrate calls, want 1", sub.calls.Load()-before)
 	}
 
-	on := memio.New(sub, memio.Config{Cache: true, PageSize: 16, MaxPages: 2})
+	on := memio.New(sub, memio.Config{Cache: true, PageSize: 16, MaxPages: 4})
+	check(on, "new", 0)
 	for i := 0; i < 3; i++ {
 		if _, err := on.GetTargetBytes(f.Base+uint64(16*i), 1); err != nil {
 			t.Fatal(err)
 		}
-		check(on, "cache fill")
+		check(on, "cache fill", i+1)
 	}
-	if on.Stats().Evictions != 1 {
-		t.Fatalf("no LRU eviction: %+v", on.Stats())
+	before = sub.calls.Load()
+	if !on.ValidTargetAddr(f.Base+8, 16) || sub.calls.Load() != before {
+		t.Errorf("a range inside resident pages asked the substrate")
 	}
-	check(on, "LRU eviction")
-	on.Prefetch(f.Base+256, 64) // 4 pages over a bound of 2
-	check(on, "prefetch past the bound")
+	if err := on.PutTargetBytes(f.Base+32, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	check(on, "write invalidation", 2)
+	if _, err := on.GetTargetBytes(f.Base+256, 64); err != nil {
+		t.Fatal(err)
+	}
+	if on.Stats().Evictions != 2 {
+		t.Fatalf("a 4-page read over a bound of 4 with 2 resident evicted %d pages, want 2: %+v", on.Stats().Evictions, on.Stats())
+	}
+	check(on, "LRU eviction", 4)
 	on.Flush()
-	check(on, "flush")
+	check(on, "flush", 0)
 }
 
-// TestResidentCountConcurrent runs ValidTargetAddr and Stats on other
-// goroutines while the resident set grows and shrinks; run it with -race.
+// TestResidentCountConcurrent runs ValidTargetAddr, CachedPages and Stats
+// on other goroutines while a cache-on accessor's resident set grows by
+// reads and shrinks by eviction, writes and flushes; run it with -race.
 func TestResidentCountConcurrent(t *testing.T) {
 	f := newFake(1 << 12)
-	a := memio.New(f, memio.Config{PageSize: 16})
+	a := memio.New(f, memio.Config{Cache: true, PageSize: 16, MaxPages: 32})
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -108,17 +105,22 @@ func TestResidentCountConcurrent(t *testing.T) {
 					t.Errorf("ValidTargetAddr past the end = true")
 					return
 				}
+				if n := a.CachedPages(); n > 32 {
+					t.Errorf("%d resident pages over a bound of 32", n)
+					return
+				}
 				_ = a.Stats()
 			}
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		a.Prefetch(f.Base, 1<<10)
-		if _, err := a.GetTargetBytes(f.Base+uint64(i%64)*16, 4); err != nil {
+		if _, err := a.GetTargetBytes(f.Base+uint64(i%64)*16, 1<<9); err != nil {
 			t.Error(err)
 		}
 		if i%2 == 0 {
-			a.ReleasePrefetched()
+			if err := a.PutTargetBytes(f.Base+uint64(i%64)*16, []byte{byte(i)}); err != nil {
+				t.Error(err)
+			}
 		} else {
 			a.Flush()
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"duel/internal/dbgif"
 )
@@ -66,12 +67,12 @@ func TestPrepareVerdict(t *testing.T) {
 }
 
 // TestSubmitPrepared: a prepared query answers and counts exactly like its
-// source through SubmitStream, on a plain and on a batching node; submitted
-// to another target, it is parsed there afresh, against that target's C
-// types.
+// source through SubmitStream, with the serve retry budget on and off;
+// submitted to another target, it is parsed there afresh, against that
+// target's C types.
 func TestSubmitPrepared(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		srv := New(Config{Workers: 2, Batch: BatchConfig{Enabled: batch}})
+	for _, retry := range []bool{true, false} {
+		srv := New(Config{Workers: 2, Retry: RetryConfig{Disabled: !retry}})
 		other := New(Config{Workers: 2})
 		// T names a different C type on each server's target.
 		here, there := buildDebuggee(t), buildDebuggee(t)
@@ -86,14 +87,11 @@ func TestSubmitPrepared(t *testing.T) {
 		}
 		got, err := streamTexts(t, srv, "t", q)
 		if err != nil || strings.Join(got, " ") != "3 4 5" {
-			t.Errorf("batch=%v: prepared query gave %v, %v; want 3 4 5", batch, got, err)
+			t.Errorf("retry=%v: prepared query gave %v, %v; want 3 4 5", retry, got, err)
 		}
 		st := srv.Stats()
 		if st.Admitted != 1 || st.Completed != 1 || st.StreamQueries != 1 || st.StreamValues != 3 {
-			t.Errorf("batch=%v: accounting %+v, want one admitted, completed, streamed query of 3 values", batch, st)
-		}
-		if batch && st.BatchedQueries != 1 {
-			t.Errorf("batch=%v: BatchedQueries = %d, want 1", batch, st.BatchedQueries)
+			t.Errorf("retry=%v: accounting %+v, want one admitted, completed, streamed query of 3 values", retry, st)
 		}
 
 		// A Query holds its target's C types: here sizeof(T) is 4, and
@@ -104,10 +102,10 @@ func TestSubmitPrepared(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, err := streamTexts(t, srv, "t", q); err != nil || strings.Join(got, " ") != "4" {
-			t.Errorf("batch=%v: sizeof(T) here gave %v, %v; want 4", batch, got, err)
+			t.Errorf("retry=%v: sizeof(T) here gave %v, %v; want 4", retry, got, err)
 		}
 		if got, err := streamTexts(t, other, "t", q); err != nil || strings.Join(got, " ") != "1" {
-			t.Errorf("batch=%v: sizeof(T) prepared elsewhere gave %v, %v; want 1", batch, got, err)
+			t.Errorf("retry=%v: sizeof(T) prepared elsewhere gave %v, %v; want 1", retry, got, err)
 		}
 		_ = srv.Shutdown(context.Background())
 		_ = other.Shutdown(context.Background())
@@ -146,9 +144,8 @@ func TestSubmitPreparedWrite(t *testing.T) {
 }
 
 // TestSubmitPreparedShared: one Query submitted from many goroutines at
-// once — as a hedged pair does with its two attempts — is evaluated
-// concurrently by several workers on their own sessions; the AST is only
-// read (run it with -race).
+// once, each with its own deadline, is evaluated concurrently by several
+// workers on their own sessions; the AST is only read (run it with -race).
 func TestSubmitPreparedShared(t *testing.T) {
 	srv := New(Config{Workers: 4})
 	defer func() { _ = srv.Shutdown(context.Background()) }()
@@ -168,7 +165,8 @@ func TestSubmitPreparedShared(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				var got []string
-				err := srv.SubmitPrepared(context.Background(), "t", q, SubmitOptions{Hedge: HedgeOn}, func(v StreamValue) error {
+				opt := SubmitOptions{Deadline: time.Now().Add(time.Minute)}
+				err := srv.SubmitPrepared(context.Background(), "t", q, opt, func(v StreamValue) error {
 					got = append(got, v.Text)
 					return nil
 				})

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"duel"
 	"duel/internal/core"
 	"duel/internal/fakedbg"
-	"duel/internal/faultdbg"
 	"duel/internal/memio"
 )
 
@@ -259,93 +257,6 @@ func TestRetryOnCircuitOpen(t *testing.T) {
 	})
 }
 
-// hedgedFixture builds a server whose first pooled session is latency-poisoned
-// (every memory op sleeps) and whose later sessions are clean: the primary
-// attempt lands on the slow session, the hedge on a fast one.
-func hedgedFixture(t *testing.T, f *fakedbg.Fake, cfg Config) *Server {
-	t.Helper()
-	var sessions atomic.Int64
-	srv := New(cfg)
-	srv.RegisterFactory("t", func() (*duel.Session, error) {
-		if sessions.Add(1) == 1 {
-			inj := faultdbg.New(f, faultdbg.Plan{
-				Seed:    1,
-				Rates:   map[faultdbg.Kind]float64{faultdbg.Latency: 1},
-				Latency: 10 * time.Millisecond,
-			})
-			return duel.NewSession(inj, duel.DefaultOptions())
-		}
-		return duel.NewSession(f, duel.DefaultOptions())
-	})
-	return srv
-}
-
-// TestHedgedReadWins: with the primary attempt stuck on a slow session, the
-// hedge fires after the pinned delay, wins, and delivers the full result —
-// while the pair still counts as exactly one admission and one completion.
-func TestHedgedReadWins(t *testing.T) {
-	checkNoLeak(t, func() {
-		f := buildDebuggee(t)
-		want, wantErr := sesExec(t, f, "x[..10]")
-		if wantErr != "<nil>" {
-			t.Fatal(wantErr)
-		}
-
-		srv := hedgedFixture(t, f, Config{
-			Workers: 2,
-			Hedge:   HedgeConfig{Enabled: true, Delay: time.Millisecond},
-		})
-		var buf bytes.Buffer
-		if err := srv.Exec(context.Background(), "t", &buf, "x[..10]"); err != nil {
-			t.Fatalf("hedged query: %v", err)
-		}
-		if got := buf.String(); got != want {
-			t.Fatalf("hedged output = %q, want %q", got, want)
-		}
-		if err := srv.Shutdown(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		st := srv.Stats()
-		if st.Hedged != 1 || st.HedgeWins != 1 {
-			t.Fatalf("Hedged/HedgeWins = %d/%d, want 1/1", st.Hedged, st.HedgeWins)
-		}
-		if st.Admitted != 1 || st.Completed != 1 || st.Failed != 0 {
-			t.Fatalf("stats = %+v, want exactly one admission and one completion", st)
-		}
-	})
-}
-
-// TestHedgeRefusesMutatingQuery: a mutating query may be hedged by the
-// caller, but the hedge attempt is refused at classification time and the
-// write executes exactly once.
-func TestHedgeRefusesMutatingQuery(t *testing.T) {
-	checkNoLeak(t, func() {
-		f := buildDebuggee(t)
-		srv := hedgedFixture(t, f, Config{
-			Workers: 2,
-			Hedge:   HedgeConfig{Enabled: true, Delay: time.Millisecond},
-		})
-		// x[3] starts at -1; += 7 exactly once leaves 6, twice would leave 13.
-		if _, err := srv.Eval(context.Background(), "t", "x[3] += 7"); err != nil {
-			t.Fatalf("hedged mutating query: %v", err)
-		}
-		if err := srv.Shutdown(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		got, gotErr := sesExec(t, f, "x[3]")
-		if gotErr != "<nil>" || got != "x[3] = 6\n" {
-			t.Fatalf("x[3] after hedged += : %q (err %s), want 6 written exactly once", got, gotErr)
-		}
-		st := srv.Stats()
-		if st.Hedged != 1 || st.HedgeWins != 0 {
-			t.Fatalf("Hedged/HedgeWins = %d/%d, want 1/0 (hedge refused, primary won)", st.Hedged, st.HedgeWins)
-		}
-		if st.Admitted != 1 || st.Completed != 1 || st.Failed != 0 {
-			t.Fatalf("stats = %+v, want exactly one admission and one completion", st)
-		}
-	})
-}
-
 // healthFixture: a server over a switchable always-failing target, retries
 // off and the breaker out of the way so the health state machine is the
 // only actor, on a pinned clock.
@@ -480,54 +391,69 @@ func TestQuarantineProbeReadmission(t *testing.T) {
 	})
 }
 
-// TestShutdownDrainsHedgedPairs is the Shutdown-vs-hedging regression: a
-// hedged pair counts as exactly one completion, the drain waits for both
-// attempts of every in-flight pair, and Completed never exceeds Admitted at
-// any observable moment — mid-storm, mid-drain, or after.
-func TestShutdownDrainsHedgedPairs(t *testing.T) {
-	checkNoLeak(t, func() {
-		f := buildDebuggee(t)
+// burstyTarget fails four of every five reads transiently: with memio's
+// default schedule (one try and three retries) a one-read query's attempt
+// exhausts the schedule and the next attempt's read succeeds.
+type burstyTarget struct {
+	*fakedbg.Fake
+	calls atomic.Int64
+}
 
-		// Phase A — exactly-once accounting: every query hedges (the
-		// delay is effectively zero), every query completes, and the
+func (d *burstyTarget) FetchTargetBytes(addr uint64, dst []byte) error {
+	if d.calls.Add(1)%5 != 0 {
+		return memio.ErrTransient
+	}
+	return d.Fake.FetchTargetBytes(addr, dst)
+}
+
+// TestShutdownDrainsRetries is the Shutdown-vs-retry regression: a query
+// whose first attempt fails and whose serve retry runs counts as exactly one
+// admission and one completion, the drain waits for queries between their
+// attempts, and Completed never exceeds Admitted at any observable moment —
+// mid-storm, mid-drain, or after.
+func TestShutdownDrainsRetries(t *testing.T) {
+	checkNoLeak(t, func() {
+		// Phase A — exactly-once accounting: every query's first attempt
+		// exhausts memio's schedule and its retry succeeds, so the
 		// counters come out exactly 1:1 with the queries issued.
-		srv := New(Config{
-			Workers: 4,
-			Hedge:   HedgeConfig{Enabled: true, Delay: time.Nanosecond},
+		bursty := &burstyTarget{Fake: buildDebuggee(t)}
+		// Ratio 1 earns a whole retry per completion: the bucket never
+		// runs dry, so every query gets its retry.
+		retry := RetryConfig{Burst: 1, Ratio: 1, Backoff: time.Microsecond}
+		srv := New(Config{Workers: 2, Retry: retry})
+		srv.RegisterFactory("t", func() (*duel.Session, error) {
+			return duel.NewSession(memio.New(bursty, memio.Config{RetryBackoff: time.Microsecond}), duel.DefaultOptions())
 		})
-		srv.Register("t", f)
-		const phaseA = 40
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < phaseA/4; i++ {
-					if _, err := srv.Eval(context.Background(), "t", "x[..10] >? 4"); err != nil {
-						t.Errorf("phase A query: %v", err)
-					}
-				}
-			}()
+		const phaseA = 20
+		for i := 0; i < phaseA; i++ {
+			out, err := srv.Eval(context.Background(), "t", "x[0]")
+			if err != nil || len(out) != 1 || out[0].Text != "3" {
+				t.Fatalf("phase A query %d = %v, %v; want [3]", i, out, err)
+			}
 		}
-		wg.Wait()
 		st := srv.Stats()
-		if st.Completed != phaseA || st.Admitted != phaseA {
-			t.Fatalf("phase A stats = %+v, want Admitted = Completed = %d", st, phaseA)
-		}
-		if st.Hedged == 0 {
-			t.Fatal("phase A issued no hedges; the exactly-once claim was not exercised")
+		if st.Admitted != phaseA || st.Completed != phaseA || st.Retried != phaseA || st.Failed != 0 {
+			t.Fatalf("phase A stats = %+v, want Admitted = Completed = Retried = %d, no failure", st, phaseA)
 		}
 		if err := srv.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 
-		// Phase B — drain under fire: slow sessions keep pairs in flight
-		// while Shutdown drains, a poller watches the invariant live, and
-		// the drain must collect both halves of every pair (checkNoLeak
-		// around the whole test catches a stranded loser).
-		srv = hedgedFixture(t, f, Config{
+		// Phase B — drain under fire: every attempt fails after memio's
+		// backoff and every query retries, so queries sit between their
+		// attempts and on their second attempt while Shutdown drains. A
+		// poller watches the invariant live, and checkNoLeak around the
+		// whole test catches a stranded attempt. Health tracking and the
+		// breaker are out of the way so nothing fails fast.
+		flaky := &flakyTarget{Fake: buildDebuggee(t), failN: -1}
+		srv = New(Config{
 			Workers: 4,
-			Hedge:   HedgeConfig{Enabled: true, Delay: 200 * time.Microsecond},
+			Retry:   RetryConfig{Burst: 8, Ratio: 1, Backoff: 500 * time.Microsecond},
+			Breaker: BreakerConfig{Threshold: 1 << 20},
+			Health:  HealthConfig{Disabled: true},
+		})
+		srv.RegisterFactory("t", func() (*duel.Session, error) {
+			return duel.NewSession(memio.New(flaky, memio.Config{RetryBackoff: 100 * time.Microsecond}), duel.DefaultOptions())
 		})
 		stop := make(chan struct{})
 		var violations atomic.Int64
@@ -547,13 +473,18 @@ func TestShutdownDrainsHedgedPairs(t *testing.T) {
 				time.Sleep(200 * time.Microsecond)
 			}
 		}()
+		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for {
-					_, err := srv.Eval(context.Background(), "t", "x[..10] >? 4")
+					_, err := srv.Eval(context.Background(), "t", "x[0]")
 					if errors.Is(err, ErrDraining) {
+						return
+					}
+					if !memio.IsRetryExhausted(err) {
+						t.Errorf("phase B query: %v, want a retry-exhausted fault", err)
 						return
 					}
 				}
@@ -567,10 +498,14 @@ func TestShutdownDrainsHedgedPairs(t *testing.T) {
 		close(stop)
 		poll.Wait()
 		if n := violations.Load(); n != 0 {
-			t.Fatalf("Completed > Admitted observed %d times during the hedged drain", n)
+			t.Fatalf("Completed > Admitted observed %d times during the drain", n)
 		}
-		if s := srv.Stats(); s.Completed > s.Admitted {
+		s := srv.Stats()
+		if s.Completed > s.Admitted {
 			t.Fatalf("final stats violate the invariant: %+v", s)
+		}
+		if s.Retried == 0 {
+			t.Fatal("phase B issued no retries; the drain was not exercised between attempts")
 		}
 	})
 }

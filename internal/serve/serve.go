@@ -39,11 +39,6 @@
 //     budget (retry.go): isolated faults heal invisibly, correlated storms
 //     drain the bucket and degrade to single attempts instead of doubling
 //     the load on a sick target.
-//   - Hedged reads. Opt-in (Config.Hedge / SubmitOptions.Hedge): a
-//     read-only query fires a second attempt on another worker after an
-//     adaptive delay derived from the target's recent latency; the first
-//     result wins, the loser is canceled through its context, and the pair
-//     counts as exactly one admission and one completion (hedge.go).
 //   - Target health: brownout before quarantine. A per-target score fed by
 //     infra-failure and latency signals generalizes the breaker
 //     (health.go): a degraded target first browns out — mutating queries
@@ -152,16 +147,10 @@ type Config struct {
 	// value enables retries with the defaults; set Retry.Disabled to opt
 	// out.
 	Retry RetryConfig
-	// Hedge tunes hedged read-only queries (see hedge.go). Hedging is off
-	// unless Hedge.Enabled is set or a query asks with HedgeOn.
-	Hedge HedgeConfig
 	// Health tunes per-target health tracking with brownout and quarantine
 	// (see health.go). The zero value enables tracking with the defaults;
 	// set Health.Disabled to opt out.
 	Health HealthConfig
-	// Batch tunes read-only query coalescing (see batch.go). Off unless
-	// Batch.Enabled is set.
-	Batch BatchConfig
 
 	// now overrides the serving clock (breaker cooldowns, queue-deadline
 	// checks, health probe cadence) in tests.
@@ -182,19 +171,15 @@ type Stats struct {
 
 	DeadlineExpired int64 // shed in queue with ErrDeadlineExceeded
 	Retried         int64 // serve-layer retry attempts issued under the budget
-	Hedged          int64 // hedge attempts enqueued
-	HedgeWins       int64 // hedged pairs whose hedge attempt won
 	Quarantined     int64 // target transitions into quarantine
 	QuarantineFails int64 // queries refused with ErrQuarantined
 	Brownouts       int64 // target transitions into brownout
 	BrownoutSheds   int64 // mutating queries shed with ErrBrownout
 	Divergences     int64 // divergence penalties applied via PenalizeTarget
 
-	BatchFlushes   int64 // batches flushed to the queue (size or MaxWait)
-	BatchedQueries int64 // queries that rode a batch instead of their own job
-	StreamQueries  int64 // queries submitted through SubmitStream
-	StreamValues   int64 // values delivered through SubmitStream emits
-	TargetLocks    int64 // target-lock acquisitions (shared or exclusive), all targets
+	StreamQueries int64 // queries submitted through SubmitStream
+	StreamValues  int64 // values delivered through SubmitStream emits
+	TargetLocks   int64 // target-lock acquisitions (shared or exclusive), all targets
 
 	QueueNanos int64 // total queue wait of completed attempts, for mean latency
 	EvalNanos  int64 // total evaluation time of completed attempts
@@ -202,10 +187,10 @@ type Stats struct {
 
 // liveStats is the server's hot counter set. Plain atomics instead of a
 // mutex-guarded struct: the two bumps per query (admit, complete) were the
-// first serializer the mutex profile named on the read path. A hedged or
-// retried query bumps admitted/completed exactly once — extra attempts are
-// accounted only in the retried/hedged counters — so Completed can never
-// outrun Admitted however many attempts a query spawned.
+// first serializer the mutex profile named on the read path. A retried
+// query bumps admitted/completed exactly once — the extra attempt is
+// accounted only in the retried counter — so Completed can never outrun
+// Admitted however many attempts a query spawned.
 type liveStats struct {
 	admitted  atomic.Int64
 	completed atomic.Int64
@@ -215,13 +200,9 @@ type liveStats struct {
 
 	deadlineExpired atomic.Int64
 	retried         atomic.Int64
-	hedged          atomic.Int64
-	hedgeWins       atomic.Int64
 
-	batchFlushes   atomic.Int64
-	batchedQueries atomic.Int64
-	streamQueries  atomic.Int64
-	streamValues   atomic.Int64
+	streamQueries atomic.Int64
+	streamValues  atomic.Int64
 
 	queueNanos atomic.Int64
 	evalNanos  atomic.Int64
@@ -272,7 +253,6 @@ type targetState struct {
 	brk     *breaker
 	health  *health
 	retry   *retryBudget
-	lat     latencyEWMA // recent clean-completion latency (hedge delay)
 
 	// rw lets read-only queries share the target; mutating queries take it
 	// exclusively (the substrate below the sessions is unsynchronized).
@@ -280,19 +260,13 @@ type targetState struct {
 	// under brownout — does not serialize on one reader cache line.
 	rw *shardedRW
 
-	// locks counts lock acquisitions (one per shared or exclusive take,
-	// batches included), pinning the batcher's fewer-acquisitions guarantee
-	// in BenchmarkServeBatchedRead.
+	// locks counts lock acquisitions (one per shared or exclusive take).
 	locks atomic.Int64
 
-	// batch coalesces read-only queries against this target; nil when
-	// batching is off.
-	batch *batcher
-
 	// cls is the lazily built classification session: Prepare (for the
-	// fleet router and the batcher) parses and read/write-classifies a
-	// query before its path is chosen, without borrowing a pooled
-	// evaluation session. Guarded by clsMu.
+	// fleet router) parses and read/write-classifies a query before its
+	// path is chosen, without borrowing a pooled evaluation session.
+	// Guarded by clsMu.
 	clsMu sync.Mutex
 	cls   *duel.Session
 
@@ -351,7 +325,6 @@ type job struct {
 	deadline    time.Time // zero = none; checked again at pickup
 	probe       bool      // this attempt is its target's half-open breaker probe
 	healthProbe bool      // this attempt is its target's quarantine probe
-	hedge       bool      // this attempt is the hedge of a pair
 	counted     bool      // this attempt carries the query's Admitted count
 	ran         bool      // worker → submitter: the evaluation actually ran
 	mutated     bool      // worker → submitter: classified as mutating
@@ -360,11 +333,6 @@ type job struct {
 	// node is src's AST when the query was prepared on this target's
 	// classification session; nil means the worker parses src.
 	node *ast.Node
-
-	// members, when non-nil, makes this job a batch container: the worker
-	// runs every member under one target-lock acquisition and one warm pass
-	// (runBatch) and the container itself reports to no submitter.
-	members []*job
 
 	// enqueuedAt stamps admission; the worker derives the queue wait from
 	// it and reports the evaluation time back in evalDur. Both ride the
@@ -380,8 +348,7 @@ var jobPool = sync.Pool{New: func() any { return &job{done: make(chan error, 1)}
 func putJob(j *job) {
 	j.ctx, j.t, j.src, j.emit, j.node = nil, nil, "", nil, nil
 	j.deadline = time.Time{}
-	j.probe, j.healthProbe, j.hedge, j.counted, j.ran, j.mutated = false, false, false, false, false, false
-	j.members = nil
+	j.probe, j.healthProbe, j.counted, j.ran, j.mutated = false, false, false, false, false
 	j.enqueuedAt = time.Time{}
 	j.queueWait, j.evalDur = 0, 0
 	jobPool.Put(j)
@@ -407,25 +374,8 @@ func New(cfg Config) *Server {
 	if cfg.Session.Eval.Timeout == 0 {
 		cfg.Session.Eval.Timeout = DefaultTimeout
 	}
-	if cfg.Hedge.Factor <= 0 {
-		cfg.Hedge.Factor = DefaultHedgeFactor
-	}
-	if cfg.Hedge.MinDelay <= 0 {
-		cfg.Hedge.MinDelay = DefaultHedgeMinDelay
-	}
-	if cfg.Hedge.MaxDelay <= 0 {
-		cfg.Hedge.MaxDelay = DefaultHedgeMaxDelay
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
-	}
-	if cfg.Batch.Enabled {
-		if cfg.Batch.BatchSize <= 0 {
-			cfg.Batch.BatchSize = DefaultBatchSize
-		}
-		if cfg.Batch.MaxWait <= 0 {
-			cfg.Batch.MaxWait = DefaultBatchMaxWait
-		}
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -463,9 +413,6 @@ func (s *Server) RegisterFactory(name string, factory func() (*duel.Session, err
 		health:  newHealth(s.cfg.Health, s.cfg.now),
 		retry:   newRetryBudget(s.cfg.Retry),
 		rw:      newShardedRW(s.cfg.Workers),
-	}
-	if s.cfg.Batch.Enabled {
-		t.batch = &batcher{}
 	}
 	s.targetMu.Lock()
 	s.targets[name] = t
@@ -568,6 +515,64 @@ func (s *Server) TargetReadOnly(name string) (bool, error) {
 	return t.readOnly()
 }
 
+// classifierLocked returns the target's dedicated classification session,
+// building it lazily on first use. Callers must hold clsMu. The session
+// only ever parses (never touches target memory), so one per target
+// suffices.
+func (t *targetState) classifierLocked() (*duel.Session, error) {
+	if t.cls == nil {
+		ses, err := t.factory()
+		if err != nil {
+			return nil, err
+		}
+		t.cls = ses
+	}
+	return t.cls, nil
+}
+
+// prepare parses src on the target's dedicated classification session and
+// returns it as a Query carrying its own write verdict. The fleet router
+// must know the verdict before choosing the query's path — without
+// borrowing a pooled evaluation session, which a worker may be using — and
+// the AST then rides the job, so the query is parsed once.
+//
+// Classification never evaluates, so it cannot define aliases — but the
+// session is long-lived and shared by every Prepare against the target, so
+// it gets the same hygiene pooled sessions get anyway: a polluting tree
+// (x := e, declarations, interned strings) scrubs the session on the way
+// out. Defense in depth: if a future parse path ever grows session state,
+// the classifier cannot quietly accumulate it across calls
+// (TestClassifierSessionHygiene pins this).
+func (t *targetState) prepare(src string) (Query, error) {
+	t.clsMu.Lock()
+	defer t.clsMu.Unlock()
+	ses, err := t.classifierLocked()
+	if err != nil {
+		return Query{}, err
+	}
+	n, err := ses.Parse(src)
+	if err != nil {
+		return Query{}, err
+	}
+	if Pollutes(n) {
+		ses.ClearAliases()
+	}
+	return Query{Src: src, Mutating: mutatesTarget(n, ses.D), t: t, node: n}, nil
+}
+
+// readOnly reports whether the target's substrate refuses writes
+// (dbgif.ReadOnly — a core dump, say), resolved through the classifier
+// session's middleware chain.
+func (t *targetState) readOnly() (bool, error) {
+	t.clsMu.Lock()
+	defer t.clsMu.Unlock()
+	ses, err := t.classifierLocked()
+	if err != nil {
+		return false, err
+	}
+	return dbgif.ReadOnly(ses.D), nil
+}
+
 // PenalizeTarget feeds n synthetic infra-failure samples into the named
 // target's health score and counts one divergence against it. This is the
 // hook the fleet scrubber uses when cross-replica diffing catches a target
@@ -597,10 +602,6 @@ func (s *Server) Stats() Stats {
 	st.Admitted = s.stats.admitted.Load()
 	st.DeadlineExpired = s.stats.deadlineExpired.Load()
 	st.Retried = s.stats.retried.Load()
-	st.Hedged = s.stats.hedged.Load()
-	st.HedgeWins = s.stats.hedgeWins.Load()
-	st.BatchFlushes = s.stats.batchFlushes.Load()
-	st.BatchedQueries = s.stats.batchedQueries.Load()
 	st.StreamQueries = s.stats.streamQueries.Load()
 	st.StreamValues = s.stats.streamValues.Load()
 	st.QueueNanos = s.stats.queueNanos.Load()
@@ -630,8 +631,6 @@ type SubmitOptions struct {
 	// and once running the evaluation executes under a context carrying
 	// min(Deadline, ctx's own deadline). Zero means no extra deadline.
 	Deadline time.Time
-	// Hedge overrides the server's hedging policy for this query.
-	Hedge HedgeMode
 }
 
 // Eval evaluates src against the named target, collecting all produced
@@ -690,14 +689,12 @@ func (s *Server) Exec(ctx context.Context, target string, w io.Writer, src strin
 // failure.
 var errTruncated = errors.New("serve: output truncated")
 
-// queryOutcome is the submitter-side result of one (or, hedged, a pair of)
-// attempts: the error to surface plus what the worker learned about the
-// query on the way.
+// queryOutcome is the submitter-side result of one attempt: the error to
+// surface plus what the worker learned about the query on the way.
 type queryOutcome struct {
 	err     error
-	ran     bool // some attempt actually evaluated (vs shed/refused)
+	ran     bool // the attempt actually evaluated (vs shed/refused)
 	mutated bool
-	buf     []duel.Result // hedged only: the winning attempt's transcript
 
 	queueWait time.Duration // admission → worker pickup, of the deciding attempt
 	evalDur   time.Duration // evaluation wall-clock, of the deciding attempt
@@ -705,9 +702,8 @@ type queryOutcome struct {
 
 // SubmitContext runs one query through admission, the queue, and a worker,
 // applying the server's resilience policies: the per-query deadline rides
-// the job, a transient infra failure may be retried once under the target's
-// retry budget, and a read-only query may be hedged. emit is called from
-// the worker goroutine (or, hedged, replayed from this one); the
+// the job, and a transient infra failure may be retried once under the
+// target's retry budget. emit is called from the worker goroutine; the
 // happens-before edge of the done channel makes its writes visible to the
 // caller afterwards. However many attempts this spawns, the query counts as
 // at most one admission and at most one completion.
@@ -738,37 +734,7 @@ func (s *Server) submit(ctx context.Context, t *targetState, q Query, opt Submit
 		return emit(r)
 	}
 
-	hedge := s.cfg.Hedge.Enabled
-	switch opt.Hedge {
-	case HedgeOn:
-		hedge = true
-	case HedgeOff:
-		hedge = false
-	}
-
-	var out queryOutcome
-	switch {
-	case hedge:
-		out = s.runHedged(ctx, t, q, countEmit, deadline)
-	case t.batch != nil:
-		// Batching path: read-only queries coalesce per target. The batcher
-		// must know the verdict before it picks a path, so an unprepared
-		// query is parsed here, once, and its AST rides the batch. A query
-		// the batcher does not take (mutating, parse error) runs as its own
-		// job; a parse error is reported there with full accounting.
-		if q.node == nil {
-			if p, err := t.prepare(q.Src); err == nil {
-				q = p
-			}
-		}
-		if q.node != nil && !q.Mutating {
-			out = s.submitBatched(ctx, t, q, countEmit, deadline)
-		} else {
-			out = s.runOnce(ctx, t, q, countEmit, deadline, true)
-		}
-	default:
-		out = s.runOnce(ctx, t, q, countEmit, deadline, true)
-	}
+	out := s.runOnce(ctx, t, q, countEmit, deadline, true)
 
 	// Serve-layer retry: one extra attempt, spent from the target's token
 	// bucket, for failures that are the infrastructure's fault and that a
@@ -816,7 +782,7 @@ func (s *Server) retryableOutcome(out queryOutcome, emitted int) bool {
 // runOnce drives a single attempt through the queue and blocks for its
 // worker. counted marks the attempt that carries the query's stats counts.
 func (s *Server) runOnce(ctx context.Context, t *targetState, q Query, emit func(duel.Result) error, deadline time.Time, counted bool) queryOutcome {
-	j, err := s.enqueue(ctx, t, q, emit, deadline, counted, false)
+	j, err := s.enqueue(ctx, t, q, emit, deadline, counted)
 	if err != nil {
 		return queryOutcome{err: err}
 	}
@@ -829,118 +795,10 @@ func (s *Server) runOnce(ctx context.Context, t *targetState, q Query, emit func
 	return out
 }
 
-// runHedged drives a hedged pair: the primary attempt immediately, a second
-// attempt if the primary has not finished after the adaptive hedge delay.
-// First finished attempt wins; the loser is canceled through its context
-// and — crucially for Shutdown — always awaited before this returns, so a
-// drain can never strand half a pair in the queue or double-count it.
-//
-// Each attempt buffers its results privately and only the winner's
-// transcript is replayed to the caller, so a pair can never interleave or
-// duplicate output however the race lands.
-func (s *Server) runHedged(ctx context.Context, t *targetState, q Query, emit func(duel.Result) error, deadline time.Time) queryOutcome {
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	var pbuf []duel.Result
-	pj, err := s.enqueue(pctx, t, q, func(r duel.Result) error {
-		pbuf = append(pbuf, r)
-		return nil
-	}, deadline, true, false)
-	if err != nil {
-		return queryOutcome{err: err}
-	}
-
-	var (
-		hj      *job
-		hcancel context.CancelFunc
-		hbuf    []duel.Result
-		perr    error
-		herr    error
-	)
-	pdone, hedgeFirst := false, false
-	timer := time.NewTimer(s.cfg.Hedge.delayFor(t.lat.load()))
-	select {
-	case perr = <-pj.done:
-		pdone = true
-		timer.Stop()
-	case <-timer.C:
-		hctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		hcancel = cancel
-		hj, err = s.enqueue(hctx, t, q, func(r duel.Result) error {
-			hbuf = append(hbuf, r)
-			return nil
-		}, deadline, false, true)
-		if err != nil {
-			// The hedge could not be placed (overload, drain, breaker,
-			// quarantine): the primary carries on alone.
-			hj = nil
-		} else {
-			s.stats.hedged.Add(1)
-		}
-	}
-	if hj != nil {
-		select {
-		case perr = <-pj.done:
-			pdone = true
-			hcancel() // primary finished first: revoke the hedge
-		case herr = <-hj.done:
-			hedgeFirst = true
-			// Revoke the primary only if the hedge actually produced a
-			// result. A refused hedge (mutating query, shed at pickup)
-			// finishing first must not cancel the one attempt that is
-			// legitimately evaluating — for a mutating primary that
-			// would abort a write mid-flight. The done receive orders
-			// the worker's hj.ran store before this load.
-			if hj.ran {
-				pcancel()
-			}
-		}
-		// Collect the loser too before returning: the pair must be fully
-		// out of the system when SubmitContext returns, or a drain could
-		// return while half a pair still runs.
-		if pdone {
-			herr = <-hj.done
-		} else {
-			perr = <-pj.done
-			pdone = true
-		}
-	} else if !pdone {
-		perr = <-pj.done
-	}
-
-	// Pick the winner: the attempt that actually evaluated and finished
-	// first. A hedge that was refused per-attempt (mutating query, shed)
-	// never wins; if neither ran, the primary's admission error stands.
-	var out queryOutcome
-	switch {
-	case hj != nil && hj.ran && (hedgeFirst || !pj.ran):
-		out = queryOutcome{err: herr, ran: true, mutated: hj.mutated, buf: hbuf, queueWait: hj.queueWait, evalDur: hj.evalDur}
-		s.stats.hedgeWins.Add(1)
-	default:
-		out = queryOutcome{err: perr, ran: pj.ran, mutated: pj.mutated, buf: pbuf, queueWait: pj.queueWait, evalDur: pj.evalDur}
-	}
-	putJob(pj)
-	if hj != nil {
-		putJob(hj)
-	}
-
-	// Replay the winner's transcript. An emit error (Exec truncation)
-	// takes over exactly as it would have aborted a live evaluation.
-	for _, r := range out.buf {
-		if eerr := emit(r); eerr != nil {
-			out.err = eerr
-			break
-		}
-	}
-	out.buf = nil
-	return out
-}
-
 // enqueue places one attempt in the queue under admission control. counted
-// attempts carry the query's Admitted/Shed/Drained counts; hedge and retry
-// attempts pass counted=false so a query never counts twice.
-func (s *Server) enqueue(ctx context.Context, t *targetState, q Query, emit func(duel.Result) error, deadline time.Time, counted, hedge bool) (*job, error) {
+// attempts carry the query's Admitted/Shed/Drained counts; a retry attempt
+// passes counted=false so a query never counts twice.
+func (s *Server) enqueue(ctx context.Context, t *targetState, q Query, emit func(duel.Result) error, deadline time.Time, counted bool) (*job, error) {
 	s.admitMu.RLock()
 	if s.state != stateServing {
 		s.admitMu.RUnlock()
@@ -964,7 +822,7 @@ func (s *Server) enqueue(ctx context.Context, t *targetState, q Query, emit func
 	}
 	j := jobPool.Get().(*job)
 	j.ctx, j.t, j.src, j.node, j.emit = ctx, t, q.Src, q.node, emit
-	j.deadline, j.probe, j.healthProbe, j.hedge, j.counted = deadline, probe, healthProbe, hedge, counted
+	j.deadline, j.probe, j.healthProbe, j.counted = deadline, probe, healthProbe, counted
 	j.enqueuedAt = s.cfg.now()
 	// Count the admission before the enqueue: once the job is in the
 	// queue a worker can complete it at any moment, and a Stats snapshot
@@ -1014,32 +872,18 @@ func (s *Server) worker(id int) {
 	for {
 		select {
 		case j := <-s.queue:
-			s.dispatch(j, &aff, id)
+			j.done <- s.run(j, &aff, id)
 		case <-s.drainCh:
 			for {
 				select {
 				case j := <-s.queue:
-					s.dispatch(j, &aff, id)
+					j.done <- s.run(j, &aff, id)
 				default:
 					return
 				}
 			}
 		}
 	}
-}
-
-// dispatch routes one dequeued job. A batch container (members != nil) runs
-// every member under runBatch and reports to no submitter — the container's
-// done channel must never be sent on: it is recycled with the job (buffered,
-// cap 1), and a stale value sitting in it would poison the next query built
-// from the pool. Plain jobs report to theirs.
-func (s *Server) dispatch(j *job, aff *affinity, id int) {
-	if j.members != nil {
-		s.runBatch(j, aff, id)
-		putJob(j)
-		return
-	}
-	j.done <- s.run(j, aff, id)
 }
 
 // acquire hands the worker a session for j's target: its affinity session
@@ -1062,12 +906,6 @@ func (s *Server) acquire(j *job, aff *affinity) (*pooledSession, error) {
 func retain(j *job, aff *affinity, ps *pooledSession) {
 	aff.t, aff.ps = j.t, ps
 }
-
-// errHedgeMutating refuses a hedge attempt whose query turned out to
-// mutate the target: its primary is (or was) executing the same writes, and
-// a mutating query must run exactly once. Never surfaced to callers —
-// runHedged discards the loser's refusal.
-var errHedgeMutating = errors.New("serve: hedge attempt refused: query mutates the target")
 
 // run executes one attempt on the calling worker. Completion/failure
 // accounting lives with the submitter (SubmitContext), which sees the whole
@@ -1130,13 +968,6 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 
 	mutating := MutatesTargetFor(n, ses.D)
 	j.mutated = mutating
-	if mutating && j.hedge {
-		// Classification happens here, the first place the AST is in
-		// hand; a mutating hedge is refused before the target lock.
-		s.releaseProbes(j)
-		retain(j, aff, ps)
-		return errHedgeMutating
-	}
 	if mutating && !j.t.health.allowWrite() {
 		// Brownout: the degraded target keeps serving reads under the
 		// shared lock, but writes — which take the exclusive lock and
@@ -1188,18 +1019,15 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 	j.t.brk.record(j.probe, infra)
 	var ce *core.CanceledError
 	if errors.As(err, &ce) {
-		// A canceled attempt (caller gave up, hedge lost the race) says
-		// nothing about target health, and its latency is the canceler's
-		// choice, not the target's.
+		// A canceled attempt (the caller gave up) says nothing about
+		// target health, and its latency is the canceler's choice, not the
+		// target's.
 		if j.healthProbe {
 			j.t.health.cancelProbe()
 		}
 	} else {
 		slow := s.cfg.Health.SlowLatency > 0 && elapsed > s.cfg.Health.SlowLatency
 		j.t.health.observe(j.healthProbe, infra, slow)
-		if err == nil || errors.Is(err, errTruncated) {
-			j.t.lat.observe(elapsed)
-		}
 	}
 	if Pollutes(n) {
 		// The query grew session-local state (aliases, DUEL declarations,
@@ -1227,19 +1055,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.admitMu.Lock()
 	if s.state == stateServing {
-		// Flush pending batches before the drain gate closes: their members
-		// are admitted queries whose submitters block on done, and a worker
-		// only runs what is in the queue. admitMu held exclusively means no
-		// submitBatched can be appending concurrently, and the queue sends
-		// land before drainCh closes, so no worker can have drained and
-		// exited past them.
-		s.targetMu.RLock()
-		for _, t := range s.targets {
-			if t.batch != nil {
-				s.flushBatch(t, true)
-			}
-		}
-		s.targetMu.RUnlock()
 		s.state = stateDraining
 		close(s.drainCh)
 	}

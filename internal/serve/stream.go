@@ -14,12 +14,9 @@
 // consumer.
 //
 // Streaming composes with every serving policy unchanged, because it IS
-// SubmitContext with an adapted callback: deadlines, retries, batching and
-// health all apply. Hedged attempts keep their private buffers — each
-// attempt of a pair writes into its own transcript and only the winner's is
-// replayed through the stream — so a stream never interleaves or duplicates
-// values however the hedge race lands (the timestamps then mark replay
-// time, which is when the values first became deliverable to the caller).
+// SubmitContext with an adapted callback: deadlines, retries and health all
+// apply. A serve retry runs only when the failed attempt delivered nothing,
+// so a stream never duplicates a value.
 package serve
 
 import (
