@@ -28,7 +28,10 @@ import (
 	"duel/internal/target"
 )
 
-// benchSession builds a session over an int array of size n.
+// benchSession builds a session over an int array of size n, with the page
+// cache off as in the paper's implementation (one engine read, one host
+// round-trip), so the T4, T5 and T7 tables measure the evaluator as the
+// paper's did.
 func benchSession(b *testing.B, n int, backend string, symbolic bool) *duel.Session {
 	b.Helper()
 	d, err := scenarios.BuildIntArray(n, func(i int) int64 { return int64(i%7) - 3 })
@@ -38,6 +41,7 @@ func benchSession(b *testing.B, n int, backend string, symbolic bool) *duel.Sess
 	opts := duel.DefaultOptions()
 	opts.Backend = backend
 	opts.Eval.Symbolic = symbolic
+	opts.Eval.MemCache = false
 	ses, err := duel.NewSession(d, opts)
 	if err != nil {
 		b.Fatal(err)

@@ -82,19 +82,15 @@ type Options struct {
 	MaxExpand int
 	// MaxCStringLen bounds string reads from the target.
 	MaxCStringLen int
-	// MemCache enables the page-granular target-read cache in the memio
-	// accessor every session routes its memory traffic through. Off by
-	// default (faithful to the paper: one engine read, one debugger
-	// round-trip); on, scans and list walks hit the host an order of
-	// magnitude less often. Writes, allocations and target calls
-	// invalidate, so values never go stale (see internal/memio).
+	// MemCache turns on the memio page cache of the session's accessor:
+	// 64 direct-mapped 256-byte pages that last one evaluation. It is on
+	// by default, so a scan or a list walk reaches the host debugger once
+	// per page instead of once per element; off is the paper's profile,
+	// one engine read, one debugger round-trip. Every evaluation entry
+	// (nested ones included) and every target call flushes the cache, and
+	// writes and allocations drop the pages they cover, so no value is
+	// read from before the target last ran (see internal/memio).
 	MemCache bool
-	// MemCachePageSize is the cache granularity in bytes (0 = memio
-	// default; rounded up to a power of two).
-	MemCachePageSize int
-	// MemCachePages bounds the resident page count, LRU-evicted
-	// (0 = memio default).
-	MemCachePages int
 	// Trace, when non-nil, makes the machine backend log every eval call
 	// in the style of the paper's §Semantics walkthrough of
 	// (1..3)+(5,9): one line per produced value (or NOVALUE) per node,
@@ -111,6 +107,7 @@ func DefaultOptions() Options {
 		MaxSteps:      0,
 		MaxExpand:     1 << 22,
 		MaxCStringLen: 200,
+		MemCache:      true,
 	}
 }
 
@@ -132,7 +129,7 @@ type Counters struct {
 	HostBytes     int64 // bytes those round-trips returned
 	CacheHits     int64 // memio page-cache hits
 	CacheMisses   int64 // memio page fills and uncached fallbacks
-	Invalidations int64 // pages dropped by writes, allocs and call flushes
+	Invalidations int64 // pages dropped by writes and allocations
 	MemTransients int64 // transient target faults observed by the accessor
 	MemRetries    int64 // retries the accessor's backoff spent absorbing them
 }
@@ -212,15 +209,12 @@ type Env struct {
 // NewEnv returns a fresh environment over the given debugger, routing all
 // target-memory traffic through a memio.Accessor built from opts. A debugger
 // that already is an Accessor is used as-is (its own cache config wins), so
-// sessions can share one accessor deliberately.
+// sessions can share one accessor deliberately; with its cache on, they
+// must not evaluate at the same time.
 func NewEnv(d dbgif.Debugger, opts Options) *Env {
 	acc, ok := d.(*memio.Accessor)
 	if !ok {
-		acc = memio.New(d, memio.Config{
-			Cache:    opts.MemCache,
-			PageSize: opts.MemCachePageSize,
-			MaxPages: opts.MemCachePages,
-		})
+		acc = memio.New(d, memio.Config{Cache: opts.MemCache})
 	}
 	e := &Env{
 		Opts:      opts,
@@ -261,7 +255,11 @@ func (e *Env) ResetCounters() {
 }
 
 // beginEval prepares per-command state. Every call is paired with endEval.
+// It flushes the accessor's page cache, nested evaluations included: the
+// target may have run since the pages were filled, and a nested one runs
+// inside a target call that may have stored behind the accessor.
 func (e *Env) beginEval() {
+	e.Mem.Flush()
 	if e.evals == 0 {
 		e.resetSyms()
 	}

@@ -211,43 +211,57 @@ func TestEvalTimeoutReleasesWedgedCall(t *testing.T) {
 // TestErrorValuesContainment: with Opts.ErrorValues on, a faulted element
 // yields a symbolic error value and the generator keeps producing; with it
 // off, the same fault aborts the whole evaluation (the paper's behavior).
+// With the page cache off each element is one host read, so the script
+// faults the third element's read. With it on, the first host read fills
+// the page holding all six elements; the script faults that fill and the
+// exact read the accessor falls back to, so x[0] is poisoned, and the
+// other elements are read one by one from the page found unfit to cache.
 func TestErrorValuesContainment(t *testing.T) {
 	for _, backend := range BackendNames() {
 		t.Run(backend, func(t *testing.T) {
-			f := newFake(t)
-			inj := faultdbg.New(f, faultdbg.Plan{
-				Script: []faultdbg.ScriptEntry{{Op: 3, Kind: faultdbg.Unmapped}},
-			})
-
-			opts := DefaultOptions()
-			opts.ErrorValues = true
-			env := NewEnv(inj, opts)
-			out, err := evalEnv(t, env, backend, "x[..6]")
-			if err != nil {
-				t.Fatalf("contained eval failed: %v", err)
-			}
-			if len(out) != 6 {
-				t.Fatalf("got %d lines, want all 6: %v", len(out), out)
-			}
-			poisoned := 0
-			for _, line := range out {
-				if strings.Contains(line, "<") && strings.Contains(line, "unmapped address") {
-					poisoned++
-				}
-			}
-			if poisoned != 1 {
-				t.Fatalf("poisoned lines = %d, want exactly 1: %v", poisoned, out)
-			}
-
-			// Faithful mode: same schedule, evaluation aborts.
-			inj.Arm(faultdbg.Plan{
-				Script: []faultdbg.ScriptEntry{{Op: 3, Kind: faultdbg.Unmapped}},
-			})
-			opts.ErrorValues = false
-			env = NewEnv(inj, opts)
-			if _, err := evalEnv(t, env, backend, "x[..6]"); err == nil {
-				t.Fatal("faithful mode swallowed the fault")
+			for _, cache := range []bool{false, true} {
+				t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
+					testErrorValuesContainment(t, backend, cache)
+				})
 			}
 		})
+	}
+}
+
+func testErrorValuesContainment(t *testing.T, backend string, cache bool) {
+	script := []faultdbg.ScriptEntry{{Op: 3, Kind: faultdbg.Unmapped}}
+	if cache {
+		script = []faultdbg.ScriptEntry{{Op: 1, Kind: faultdbg.Unmapped}, {Op: 2, Kind: faultdbg.Unmapped}}
+	}
+	f := newFake(t)
+	inj := faultdbg.New(f, faultdbg.Plan{Script: script})
+
+	opts := DefaultOptions()
+	opts.MemCache = cache
+	opts.ErrorValues = true
+	env := NewEnv(inj, opts)
+	out, err := evalEnv(t, env, backend, "x[..6]")
+	if err != nil {
+		t.Fatalf("contained eval failed: %v", err)
+	}
+	if len(out) != 6 {
+		t.Fatalf("got %d lines, want all 6: %v", len(out), out)
+	}
+	poisoned := 0
+	for _, line := range out {
+		if strings.Contains(line, "<") && strings.Contains(line, "unmapped address") {
+			poisoned++
+		}
+	}
+	if poisoned != 1 {
+		t.Fatalf("poisoned lines = %d, want exactly 1: %v", poisoned, out)
+	}
+
+	// Faithful mode: same schedule, evaluation aborts.
+	inj.Arm(faultdbg.Plan{Script: script})
+	opts.ErrorValues = false
+	env = NewEnv(inj, opts)
+	if _, err := evalEnv(t, env, backend, "x[..6]"); err == nil {
+		t.Fatal("faithful mode swallowed the fault")
 	}
 }

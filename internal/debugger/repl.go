@@ -371,7 +371,8 @@ func (r *REPL) cmdServe(rest string) error {
 	}
 
 	// key=value resilience knobs. An unknown key falls through to the
-	// expression — "x=5" is a DUEL assignment, not an option.
+	// expression — "x=5" is a DUEL assignment, not an option — except the
+	// knobs of removed mechanisms, which are named instead of evaluated.
 	var retry serve.RetryConfig
 	var deadline time.Duration
 	stream := false
@@ -406,6 +407,8 @@ opts:
 				return fmt.Errorf("serve: bad replicas %q (want a positive count)", val)
 			}
 			replicas = v
+		case "hedge", "batch", "wait":
+			return fmt.Errorf("serve: %s= was removed with read hedging and batching; try \"help serve\"", key)
 		default:
 			break opts
 		}

@@ -306,6 +306,38 @@ int main() {
 	}
 }
 
+// TestWatchpointInsideDuelCall: a watchpoint evaluated inside a target
+// call that a DUEL expression made must read what the callee stored, not a
+// page the page cache filled earlier — by the outer evaluation before the
+// call, or by a nested one at the prompt inside it.
+func TestWatchpointInsideDuelCall(t *testing.T) {
+	out := runScript(t, `
+int g;
+int setg(int n) { g = n; g = g + 1; return g; }
+int main() { return 0; }
+`,
+		"break main",
+		"run",
+		"watch g",
+		"duel g + setg(5)", // reads g, then calls setg: the watchpoint fires inside
+		"duel g",           // nested prompt, after g = n
+		"continue",         // g = g + 1
+		"continue",         // the call returns
+		"continue",
+		"quit",
+	)
+	for _, want := range []string{
+		"old: g = 0\n  new: g = 5\n",
+		"(mdb) g = 5\n",
+		"old: g = 5\n  new: g = 6\n",
+		"g+setg(5) = 6\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestWatchpointGeneratorExpression(t *testing.T) {
 	// Watch a whole value sequence, not just one variable: the list length.
 	out := runScript(t, listProgram,
@@ -649,6 +681,8 @@ func TestServeCommandKnobs(t *testing.T) {
 		"serve 2 8 retry=off deadline=10s stream=on head-->next->v",
 		"serve 1 1 retry=maybe head",
 		"serve 1 1 hedge=on head",
+		"serve 1 1 batch=4 head",
+		"serve 1 1 wait=1ms head",
 		"quit",
 	)
 	for _, want := range []string{
@@ -658,7 +692,9 @@ func TestServeCommandKnobs(t *testing.T) {
 		"resilience: 0 deadline-expired, 0 retried,",
 		"stream: 8 queries, 24 values;",
 		"serve: retry=maybe: want on or off",
-		`first failure: 1:10: expected end of input, found "head"`,
+		"serve: hedge= was removed with read hedging and batching",
+		"serve: batch= was removed with read hedging and batching",
+		"serve: wait= was removed with read hedging and batching",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("serve knob output missing %q:\n%s", want, out)

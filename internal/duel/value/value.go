@@ -207,6 +207,11 @@ func (c *Ctx) fetch(addr uint64, size int) ([]byte, error) {
 // operand's symbolic value as in the paper's example:
 //
 //	Illegal memory reference in x of x->y: ptr[48] = lvalue 0x16820.
+//
+// A fetch that kept faulting transiently until memio's retries ran out is
+// not a bad pointer, and says so:
+//
+//	Transient target fault after 4 attempts: x[1] = lvalue 0x1004
 type MemError struct {
 	Context string // enclosing expression, e.g. "x->y"
 	Sym     string // offending operand's symbolic value
@@ -215,10 +220,15 @@ type MemError struct {
 }
 
 func (e *MemError) Error() string {
-	if e.Context != "" {
-		return fmt.Sprintf("Illegal memory reference in %s of %s: %s = lvalue 0x%x", e.Sym, e.Context, e.Sym, e.Addr)
+	what := "Illegal memory reference"
+	var re *memio.RetryExhaustedError
+	if errors.As(e.Err, &re) {
+		what = fmt.Sprintf("Transient target fault after %d attempts", re.Attempts)
 	}
-	return fmt.Sprintf("Illegal memory reference: %s = lvalue 0x%x", e.Sym, e.Addr)
+	if e.Context != "" {
+		return fmt.Sprintf("%s in %s of %s: %s = lvalue 0x%x", what, e.Sym, e.Context, e.Sym, e.Addr)
+	}
+	return fmt.Sprintf("%s: %s = lvalue 0x%x", what, e.Sym, e.Addr)
 }
 
 func (e *MemError) Unwrap() error { return e.Err }

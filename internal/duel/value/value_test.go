@@ -2,9 +2,11 @@ package value
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 
 	"duel/internal/ctype"
@@ -483,5 +485,39 @@ func TestTruth(t *testing.T) {
 	s, _ := a.StructOf("s", ctype.FieldSpec{Name: "x", Type: a.Int})
 	if _, err := c.Truth(FromBytes(s, make([]byte, s.Size()))); err == nil {
 		t.Error("struct truth accepted")
+	}
+}
+
+// alwaysTransient fails every read with a retryable fault.
+type alwaysTransient struct{ *fakedbg.Fake }
+
+func (alwaysTransient) FetchTargetBytes(uint64, []byte) error { return memio.ErrTransient }
+
+// TestTransientMemError: a load that faulted transiently on every attempt
+// the accessor's retry schedule allowed is reported as a transient fault
+// with the number of attempts, not as the paper's illegal reference, with
+// the page cache off and on; an unmapped address keeps the paper's text.
+func TestTransientMemError(t *testing.T) {
+	f := fakedbg.New(ctype.ILP32, 1<<16)
+	x := f.MustVar("x", f.A.ArrayOf(f.A.Int, 4))
+	for _, cache := range []bool{false, true} {
+		acc := memio.New(alwaysTransient{f}, memio.Config{Cache: cache, RetryBackoff: time.Microsecond})
+		c := &Ctx{Arch: f.A, D: acc, Syms: &SymStore{}}
+		v := Lvalue(f.A.Int, x.Addr+4)
+		v.Sym = c.Syms.Text("x[1]")
+		_, err := c.Rval(v)
+		want := fmt.Sprintf("Transient target fault after 4 attempts: x[1] = lvalue 0x%x", x.Addr+4)
+		if err == nil || err.Error() != want {
+			t.Errorf("cache %v: error %v, want %q", cache, err, want)
+		}
+		if !memio.IsRetryExhausted(err) {
+			t.Errorf("cache %v: error %v does not carry the exhausted retry schedule", cache, err)
+		}
+	}
+	c, _ := newCtx()
+	bad := Lvalue(f.A.Int, 0x16820)
+	bad.Sym = c.Syms.Text("ptr[48]")
+	if _, err := c.Rval(bad); err == nil || err.Error() != "Illegal memory reference: ptr[48] = lvalue 0x16820" {
+		t.Errorf("unmapped load: %v", err)
 	}
 }

@@ -11,10 +11,15 @@
 // layer above (core.Env, value.Ctx, display.Printer, the evaluator
 // backends) holds an Accessor and cannot bypass it. It adds:
 //
-//   - a page-granular read cache (configurable page size, LRU-bounded entry
-//     count) with write-through invalidation on PutTargetBytes and
-//     AllocTargetSpace, and a conservative whole-cache flush around
-//     CallTargetFunc (a target call may mutate arbitrary memory);
+//   - a page cache that lasts one evaluation: Config.MaxPages direct-mapped
+//     slots of Config.PageSize bytes (64 of 256 by default, allocated on
+//     the first fill), each valid by its tag and the accessor's generation.
+//     A hit takes no lock, makes no map lookup and allocates nothing.
+//     Flush drops every page in O(1) by starting a new generation; core
+//     flushes on every evaluation entry, nested ones included, and the
+//     accessor flushes before and after CallTargetFunc, so no page outlives
+//     the stopped-target snapshot it was filled from. Writes and
+//     allocations drop the pages they cover;
 //   - typed fault errors (Fault{Addr, Len, Op}) replacing ad-hoc error
 //     strings, so --> expansion and the symbolic error messages can
 //     distinguish unmapped reads from short (partially mapped) reads;
@@ -22,16 +27,25 @@
 //     hits/misses, invalidations) that core.Counters merges for the F2
 //     cost-breakdown experiment.
 //
-// Caching is off by default — one engine request, one host round-trip —
-// which is faithful to the paper's implementation; core.Options.MemCache
-// turns it on. With it off the accessor holds no pages at all, and a read
-// that does not fault takes no lock. Symbol, type and frame lookups are
+// With the cache off (the zero Config) one engine request is one host
+// round-trip, which is faithful to the paper's implementation, and a read
+// that does not fault takes no lock. core.Options.MemCache, on by default,
+// turns the cache on for sessions. Symbol, type and frame lookups are
 // delegated to the wrapped debugger untouched: memio instruments memory,
 // not symbols.
+//
+// Concurrency: with the cache off, any number of goroutines may use one
+// Accessor, as far as the wrapped debugger tolerates it. With the cache on,
+// one evaluation at a time may read, write, allocate, call and Flush
+// through it, because the slots' bytes are filled and copied without a
+// lock; duel.Session's evaluation lock and internal/serve's session pool
+// give each session's accessor exactly that. ValidTargetAddr, CachedPages,
+// Stats, Interrupt and Resume stay safe from any goroutine at any time:
+// they read the slots' tags and the generation atomically, never their
+// bytes.
 package memio
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -45,7 +59,7 @@ import (
 // Defaults used for Config fields left zero.
 const (
 	DefaultPageSize = 256
-	DefaultMaxPages = 1024
+	DefaultMaxPages = 64
 
 	// DefaultRetries is the number of extra attempts after a transient
 	// fault before the fault is surfaced to the engine.
@@ -183,14 +197,14 @@ func (f *Fault) Unwrap() error { return f.Err }
 
 // Config tunes an Accessor.
 type Config struct {
-	// Cache enables the page-granular read cache. Off is faithful to the
-	// paper: every engine read is one host round-trip.
+	// Cache enables the page cache. Off is faithful to the paper: every
+	// engine read is one host round-trip.
 	Cache bool
-	// PageSize is the cache granularity in bytes; it is rounded up to a
-	// power of two. 0 means DefaultPageSize.
+	// PageSize is the size of one cache slot in bytes; it is rounded up to
+	// a power of two of at least 8. 0 means DefaultPageSize.
 	PageSize int
-	// MaxPages bounds the number of resident pages (LRU eviction).
-	// 0 means DefaultMaxPages.
+	// MaxPages is the number of direct-mapped slots, rounded up to a
+	// power of two. 0 means DefaultMaxPages.
 	MaxPages int
 	// Retries is the number of extra attempts after a transient fault
 	// (see IsTransient). 0 means DefaultRetries; negative disables
@@ -212,9 +226,9 @@ type Stats struct {
 
 	Hits          int64 // page-cache hits
 	Misses        int64 // page fills and uncached fallbacks
-	Evictions     int64 // pages dropped by the LRU bound
-	Invalidations int64 // pages dropped by writes, allocs and call flushes
-	Flushes       int64 // conservative whole-cache flushes (target calls)
+	Evictions     int64 // resident pages displaced by another page's fill
+	Invalidations int64 // resident pages dropped by writes and allocations
+	Flushes       int64 // flushes that dropped pages (evaluation entries, target calls)
 
 	Transients int64 // transient faults observed (including retried-away ones)
 	Retries    int64 // retry attempts issued after transient faults
@@ -222,40 +236,65 @@ type Stats struct {
 
 // Accessor is the single gateway for target-memory traffic. It implements
 // dbgif.Debugger by wrapping one, so it can be handed to anything that
-// expects the narrow interface. It is safe for concurrent use as long as the
-// wrapped debugger tolerates the same access pattern.
+// expects the narrow interface. See the package comment for which methods
+// may run concurrently.
 type Accessor struct {
 	dbgif.Debugger // host debugger; symbol/type/frame calls delegate to it
 
 	src         dbgif.Fetcher // the host debugger's read, dbgif.FetcherOf(Debugger)
 	cfg         Config
+	shift       uint        // log2(cfg.PageSize)
 	interrupted atomic.Bool // set by Interrupt: fail fast, skip retries
 	// intrMu guards the abort channel's lifecycle only; it is never held
 	// across a host call, so Interrupt stays safe to call from a watchdog
 	// while an operation holds mu.
 	intrMu sync.Mutex
 	abort  chan struct{} // closed by Interrupt, replaced by Resume
-	mu     sync.Mutex
-	// pages and lru are the page cache, nil when Config.Cache is off.
-	pages map[uint64]*list.Element
-	lru   *list.List // front = most recently used; elements hold *page
-	stats Stats      // changed under mu
-	// direct and directBytes count the reads of the lock-free path: each
-	// is one engine read and one host round-trip of its bytes, so Stats
-	// adds them to Reads and HostReads, and to ReadBytes and HostBytes.
-	// They are written on every read, so the padding keeps any other
-	// object (such as another session's accessor next to this one in
-	// memory) off their cache line.
+	// mu serializes the paths that reach the host debugger other than a
+	// cache hit or a cache-off read that does not fault: faults and their
+	// retries, page fills, writes and allocations.
+	mu    sync.Mutex
+	stats Stats // changed under mu
+
+	// The page cache, used only with Config.Cache on. A slot holds a
+	// page when its generation is gen; gen is never 0, so an empty slot
+	// never matches. dirty records that a slot was written in the
+	// current generation, so a Flush with nothing to drop does nothing.
+	pages   atomic.Pointer[pageSet] // nil until the first fill
+	gen     atomic.Uint32
+	dirty   atomic.Bool
+	flushes atomic.Int64
+
+	// direct and directBytes count the reads of the lock-free path: with
+	// the cache off each is one engine read and one host round-trip of
+	// its bytes, with it on one engine read served from a resident page.
+	// Stats adds them in accordingly. They are written on every read, so
+	// the padding keeps any other object (such as another session's
+	// accessor next to this one in memory) off their cache line.
 	_           [48]byte
 	direct      atomic.Int64
 	directBytes atomic.Int64
 	_           [48]byte
 }
 
-type page struct {
-	base uint64
-	data []byte
+// pageSet is the cache's storage: one tag per slot and the slots' bytes,
+// slot i at data[i*PageSize:].
+type pageSet struct {
+	slots []slot
+	data  []byte
 }
+
+// slot is one direct-mapped cache slot's tag. base is the address of the
+// page it holds; bit 0 set marks a page found unfit to cache in this
+// generation (a fill of it faulted), so later reads go straight to the
+// exact uncached read instead of faulting on a fill again.
+type slot struct {
+	base atomic.Uint64
+	gen  atomic.Uint32
+}
+
+// uncacheable is the tag bit of a page whose fill faulted.
+const uncacheable = 1
 
 // New wraps d. The zero Config gives the faithful pass-through accessor:
 // no cache, but faults and counters still apply.
@@ -263,10 +302,11 @@ func New(d dbgif.Debugger, cfg Config) *Accessor {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = DefaultPageSize
 	}
-	cfg.PageSize = 1 << bits.Len(uint(cfg.PageSize-1)) // round up to 2^k
+	cfg.PageSize = max(8, 1<<bits.Len(uint(cfg.PageSize-1))) // round up to 2^k
 	if cfg.MaxPages <= 0 {
 		cfg.MaxPages = DefaultMaxPages
 	}
+	cfg.MaxPages = 1 << bits.Len(uint(cfg.MaxPages-1))
 	if cfg.Retries == 0 {
 		cfg.Retries = DefaultRetries
 	} else if cfg.Retries < 0 {
@@ -276,11 +316,9 @@ func New(d dbgif.Debugger, cfg Config) *Accessor {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
 	a := &Accessor{Debugger: d, src: dbgif.FetcherOf(d), cfg: cfg}
+	a.shift = uint(bits.TrailingZeros(uint(cfg.PageSize)))
 	a.abort = make(chan struct{})
-	if cfg.Cache {
-		a.pages = make(map[uint64]*list.Element)
-		a.lru = list.New()
-	}
+	a.gen.Store(1)
 	return a
 }
 
@@ -315,9 +353,14 @@ func (a *Accessor) Stats() Stats {
 	a.mu.Unlock()
 	n, b := a.direct.Load(), a.directBytes.Load()
 	s.Reads += n
-	s.HostReads += n
 	s.ReadBytes += b
-	s.HostBytes += b
+	if a.cfg.Cache {
+		s.Hits += n
+	} else {
+		s.HostReads += n
+		s.HostBytes += b
+	}
+	s.Flushes = a.flushes.Load()
 	return s
 }
 
@@ -328,16 +371,22 @@ func (a *Accessor) ResetStats() {
 	a.stats = Stats{}
 	a.direct.Store(0)
 	a.directBytes.Store(0)
+	a.flushes.Store(0)
 }
 
 // CachedPages reports the number of resident cache pages.
 func (a *Accessor) CachedPages() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.lru == nil {
+	ps := a.pages.Load()
+	if ps == nil {
 		return 0
 	}
-	return a.lru.Len()
+	g, n := a.gen.Load(), 0
+	for i := range ps.slots {
+		if ps.slots[i].gen.Load() == g && ps.slots[i].base.Load()&uncacheable == 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Interrupt implements dbgif.Interrupter: subsequent (and, if the wrapped
@@ -420,21 +469,27 @@ func (a *Accessor) retry(err error, do func() error) error {
 	}
 }
 
-// Flush drops every cached page.
+// Flush drops every cached page by starting a new generation. It is O(1)
+// and takes no lock; when nothing was cached since the last Flush it only
+// reads one flag.
 func (a *Accessor) Flush() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.flushLocked()
-}
-
-func (a *Accessor) flushLocked() {
-	if a.lru == nil || a.lru.Len() == 0 {
+	if !a.dirty.Load() {
 		return
 	}
-	a.stats.Invalidations += int64(a.lru.Len())
-	a.stats.Flushes++
-	a.pages = make(map[uint64]*list.Element)
-	a.lru.Init()
+	a.dirty.Store(false)
+	g := a.gen.Load() + 1
+	if g == 0 {
+		// The generation wrapped: clear every slot's, so none filled
+		// 2^32 generations ago comes back to life. Until gen is stored,
+		// the old generation no longer matches any slot either.
+		ps := a.pages.Load()
+		for i := range ps.slots {
+			ps.slots[i].gen.Store(0)
+		}
+		g = 1
+	}
+	a.gen.Store(g)
+	a.flushes.Add(1)
 }
 
 // GetTargetBytes implements dbgif.Debugger: FetchTargetBytes into a fresh
@@ -444,28 +499,49 @@ func (a *Accessor) GetTargetBytes(addr uint64, n int) ([]byte, error) {
 }
 
 // FetchTargetBytes implements dbgif.Fetcher: it fills dst, which the caller
-// owns, and allocates nothing of its own unless a cache miss fills a page.
+// owns, and allocates nothing of its own except the cache's slots on its
+// first fill.
 //
-// With the cache off (the default) a read is one host round-trip, and one
-// that does not fault takes no lock: it is counted in two atomics. A fault
-// is retried and typed under the lock. With the cache on, reads go through
-// the page cache, and fall back to one uncached host read for ranges whose
-// pages are not fully mapped, so partial mappings behave exactly as they do
-// with the cache off.
+// With the cache off a read is one host round-trip, and one that does not
+// fault takes no lock: it is counted in two atomics. With the cache on, a
+// read that lies in one resident page is copied from it, equally without a
+// lock; any other read fills the pages it covers under the lock, and falls
+// back to one uncached host read from the first page that cannot be cached
+// (it is not wholly mapped), so partial mappings behave exactly as they do
+// with the cache off. A fault is retried and typed under the lock.
 func (a *Accessor) FetchTargetBytes(addr uint64, dst []byte) error {
-	n := len(dst)
-	if !a.cfg.Cache && !a.interrupted.Load() {
-		a.direct.Add(1)
-		a.directBytes.Add(int64(n))
-		err := a.src.FetchTargetBytes(addr, dst)
-		if err == nil {
+	if !a.interrupted.Load() {
+		if !a.cfg.Cache {
+			a.direct.Add(1)
+			a.directBytes.Add(int64(len(dst)))
+			if err := a.src.FetchTargetBytes(addr, dst); err != nil {
+				return a.directFault(addr, dst, err)
+			}
 			return nil
 		}
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		a.stats.HostBytes -= int64(n) // counted as read by directBytes
-		return a.hostFetch(addr, dst, err)
+		if b := a.resident(addr, len(dst)); b != nil {
+			copy(dst, b)
+			a.direct.Add(1)
+			a.directBytes.Add(int64(len(dst)))
+			return nil
+		}
 	}
+	return a.fetchLocked(addr, dst)
+}
+
+// directFault finishes a cache-off read whose host attempt, counted by the
+// lock-free path, returned err.
+func (a *Accessor) directFault(addr uint64, dst []byte, err error) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.stats.HostBytes -= int64(len(dst)) // counted as read by directBytes
+	return a.hostFetch(addr, dst, err)
+}
+
+// fetchLocked is a read that is not lock-free: an interrupted one, or a
+// cache-on read outside a resident page.
+func (a *Accessor) fetchLocked(addr uint64, dst []byte) error {
+	n := len(dst)
 	a.mu.Lock()
 	defer a.mu.Unlock() // a substrate that panics must not leave the session locked
 	a.stats.Reads++
@@ -477,20 +553,91 @@ func (a *Accessor) FetchTargetBytes(addr uint64, dst []byte) error {
 		a.stats.HostReads++
 		return a.hostFetch(addr, dst, a.src.FetchTargetBytes(addr, dst))
 	}
-	ps := uint64(a.cfg.PageSize)
 	for off := 0; off < n; {
 		cur := addr + uint64(off)
-		pg := a.pageFor(cur &^ (ps - 1))
-		if pg == nil {
+		b, err := a.fill(cur)
+		if err != nil {
+			return a.fault(OpRead, addr, n, err)
+		}
+		if b == nil {
 			a.stats.Misses++
 			if err := a.hostRead(cur, dst[off:]); err != nil {
 				return a.fault(OpRead, addr, n, err)
 			}
 			return nil
 		}
-		off += copy(dst[off:], pg.data[cur-pg.base:])
+		off += copy(dst[off:], b)
 	}
 	return nil
+}
+
+// resident returns the n cached bytes at addr when one resident page holds
+// all of them, and nil otherwise.
+func (a *Accessor) resident(addr uint64, n int) []byte {
+	ps := a.pages.Load()
+	if ps == nil {
+		return nil
+	}
+	mask := uint64(a.cfg.PageSize - 1)
+	off := addr & mask
+	if n == 0 || off+uint64(n) > mask+1 {
+		return nil
+	}
+	i := (addr >> a.shift) & uint64(len(ps.slots)-1)
+	s := &ps.slots[i]
+	if s.gen.Load() != a.gen.Load() || s.base.Load() != addr-off {
+		return nil
+	}
+	at := i<<a.shift + off
+	return ps.data[at : at+uint64(n)]
+}
+
+// fill returns the cached bytes from addr to the end of its page, filling
+// the page's slot from the host if the page is not resident. It returns
+// nil and no error when the page cannot be cached: its fill faulted for a
+// reason other than a transient fault or an interrupt (it is not wholly
+// mapped, say), now or earlier in this generation. A transient fault that
+// outlasted the retry schedule, or an interrupted fill, is returned as the
+// read's error. Called with mu held and the cache on.
+func (a *Accessor) fill(addr uint64) ([]byte, error) {
+	ps := a.pages.Load()
+	if ps == nil {
+		ps = &pageSet{
+			slots: make([]slot, a.cfg.MaxPages),
+			data:  make([]byte, a.cfg.MaxPages*a.cfg.PageSize),
+		}
+		a.pages.Store(ps)
+	}
+	base := addr &^ uint64(a.cfg.PageSize-1)
+	i := (addr >> a.shift) & uint64(len(ps.slots)-1)
+	s := &ps.slots[i]
+	data := ps.data[i<<a.shift : (i+1)<<a.shift]
+	g := a.gen.Load()
+	if s.gen.Load() == g {
+		switch tag := s.base.Load(); {
+		case tag == base:
+			a.stats.Hits++
+			return data[addr-base:], nil
+		case tag == base|uncacheable:
+			return nil, nil
+		case tag&uncacheable == 0:
+			a.stats.Evictions++
+		}
+	}
+	s.gen.Store(0) // the slot holds no page while its bytes change
+	a.dirty.Store(true)
+	if err := a.hostRead(base, data); err != nil {
+		if IsTransient(err) || a.interrupted.Load() {
+			return nil, err
+		}
+		s.base.Store(base | uncacheable)
+		s.gen.Store(g)
+		return nil, nil
+	}
+	a.stats.Misses++
+	s.base.Store(base)
+	s.gen.Store(g)
+	return data[addr-base:], nil
 }
 
 // hostFetch finishes an uncached read of all of dst whose first host
@@ -527,41 +674,8 @@ func (a *Accessor) retryRead(addr uint64, dst []byte, err error) error {
 	return nil
 }
 
-// pageFor returns the cached page at base, filling it from the host if the
-// whole page is mapped, or nil when the range must be read uncached. Called
-// with mu held and the cache on.
-func (a *Accessor) pageFor(base uint64) *page {
-	if el, ok := a.pages[base]; ok {
-		a.stats.Hits++
-		a.lru.MoveToFront(el)
-		return el.Value.(*page)
-	}
-	if !a.Debugger.ValidTargetAddr(base, a.cfg.PageSize) {
-		return nil
-	}
-	b := make([]byte, a.cfg.PageSize)
-	if err := a.hostRead(base, b); err != nil {
-		return nil
-	}
-	a.stats.Misses++
-	pg := &page{base: base, data: b}
-	a.pages[base] = a.lru.PushFront(pg)
-	a.evictLocked()
-	return pg
-}
-
-// evictLocked drops least recently used pages down to the MaxPages bound.
-func (a *Accessor) evictLocked() {
-	for a.lru.Len() > a.cfg.MaxPages {
-		back := a.lru.Back()
-		delete(a.pages, back.Value.(*page).base)
-		a.lru.Remove(back)
-		a.stats.Evictions++
-	}
-}
-
-// PutTargetBytes implements dbgif.Debugger: write-through, then invalidate
-// the covered pages so the next read refetches.
+// PutTargetBytes implements dbgif.Debugger: write-through, then drop the
+// covered pages so the next read refetches.
 func (a *Accessor) PutTargetBytes(addr uint64, b []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -580,10 +694,10 @@ func (a *Accessor) PutTargetBytes(addr uint64, b []byte) error {
 }
 
 // ValidTargetAddr implements dbgif.Debugger. With the cache on, a range
-// fully covered by cached pages is known mapped without a host round-trip:
-// the hot path of --> list walks, which validate every pointer before
-// following it. With the cache off (the default) it asks the substrate
-// without taking mu.
+// fully covered by resident pages is known mapped without a host
+// round-trip: the hot path of --> list walks, which validate every pointer
+// before following it. Anything else is asked of the substrate, without
+// taking mu.
 func (a *Accessor) ValidTargetAddr(addr uint64, n int) bool {
 	if a.cfg.Cache && n > 0 && addr+uint64(n)-1 >= addr && a.covered(addr, n) {
 		return true
@@ -591,14 +705,21 @@ func (a *Accessor) ValidTargetAddr(addr uint64, n int) bool {
 	return a.Debugger.ValidTargetAddr(addr, n)
 }
 
-// covered reports whether cached pages cover [addr, addr+n), n > 0.
+// covered reports whether resident pages cover [addr, addr+n), n > 0.
 func (a *Accessor) covered(addr uint64, n int) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ps := uint64(a.cfg.PageSize)
-	last := (addr + uint64(n) - 1) &^ (ps - 1)
-	for base := addr &^ (ps - 1); ; base += ps {
-		if _, ok := a.pages[base]; !ok {
+	ps := a.pages.Load()
+	if ps == nil {
+		return false
+	}
+	size := uint64(a.cfg.PageSize)
+	first, last := addr&^(size-1), (addr+uint64(n)-1)&^(size-1)
+	if (last-first)>>a.shift >= uint64(len(ps.slots)) {
+		return false // more pages than slots: they cannot all be resident
+	}
+	g := a.gen.Load()
+	for base := first; ; base += size {
+		s := &ps.slots[(base>>a.shift)&uint64(len(ps.slots)-1)]
+		if s.gen.Load() != g || s.base.Load() != base {
 			return false
 		}
 		if base == last {
@@ -609,7 +730,7 @@ func (a *Accessor) covered(addr uint64, n int) bool {
 
 // AllocTargetSpace implements dbgif.Debugger. The new storage may overlay
 // bytes cached before the allocation (hosts map their heap segment up
-// front), so the covered pages are invalidated.
+// front), so the covered pages are dropped.
 func (a *Accessor) AllocTargetSpace(n, align int) (uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -622,36 +743,48 @@ func (a *Accessor) AllocTargetSpace(n, align int) (uint64, error) {
 }
 
 // CallTargetFunc implements dbgif.Debugger. A target call may mutate
-// arbitrary memory, so the whole cache is flushed — even on error, since the
-// callee may have stored before failing. The lock is NOT held across the
-// host call: the callee can re-enter this accessor (watchpoints and
-// breakpoint conditions evaluate DUEL expressions mid-call).
+// arbitrary memory, so the cache is flushed after it — even on error,
+// since the callee may have stored before failing — and before it, since
+// the callee can re-enter this accessor (watchpoints and breakpoint
+// conditions evaluate DUEL expressions mid-call) and must not read pages
+// filled before the call started. The lock is NOT held across the host
+// call, for the same reason.
 func (a *Accessor) CallTargetFunc(addr uint64, args []dbgif.Value) (dbgif.Value, error) {
 	if a.interrupted.Load() {
 		return dbgif.Value{}, a.interruptedErr(OpCall, addr, 0)
 	}
 	// Calls are never retried: the callee may have taken effect before a
 	// transient fault was reported.
+	a.Flush()
 	out, err := a.Debugger.CallTargetFunc(addr, args)
 	a.Flush()
 	return out, err
 }
 
-// invalidate drops the cached pages overlapping [addr, addr+n).
+// invalidate drops the cached pages, and the pages found unfit to cache,
+// that overlap [addr, addr+n). Called with mu held.
 func (a *Accessor) invalidate(addr uint64, n int) {
-	if a.lru == nil || n <= 0 || addr+uint64(n)-1 < addr {
+	ps := a.pages.Load()
+	if ps == nil || n <= 0 {
 		return
 	}
-	ps := uint64(a.cfg.PageSize)
-	last := (addr + uint64(n) - 1) &^ (ps - 1)
-	for base := addr &^ (ps - 1); ; base += ps {
-		if el, ok := a.pages[base]; ok {
-			delete(a.pages, base)
-			a.lru.Remove(el)
-			a.stats.Invalidations++
+	size := uint64(a.cfg.PageSize)
+	first, last := addr&^(size-1), (addr+uint64(n)-1)&^(size-1)
+	if last < first {
+		last = ^(size - 1) // the range wraps: drop to the top of memory
+	}
+	g := a.gen.Load()
+	for i := range ps.slots {
+		s := &ps.slots[i]
+		if s.gen.Load() != g {
+			continue
 		}
-		if base == last {
-			break
+		base := s.base.Load()
+		if p := base &^ uncacheable; p >= first && p <= last {
+			s.gen.Store(0)
+			if base&uncacheable == 0 {
+				a.stats.Invalidations++
+			}
 		}
 	}
 }

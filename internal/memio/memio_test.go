@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -144,7 +145,7 @@ func TestCallInvalidation(t *testing.T) {
 // storage goes to the host.
 func TestAllocInvalidation(t *testing.T) {
 	f := newFake(1 << 12)
-	a := memio.New(f, memio.Config{Cache: true, PageSize: 16})
+	a := memio.New(f, memio.Config{Cache: true, PageSize: 16, MaxPages: 256}) // every page has a slot
 	if _, err := a.GetTargetBytes(f.Base, 1<<12); err != nil {
 		t.Fatal(err)
 	}
@@ -218,33 +219,127 @@ func TestPartialPageFallback(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	f := newFake(1 << 12)
-	a := memio.New(f, memio.Config{Cache: true, PageSize: 16, MaxPages: 2})
-	for i := 0; i < 3; i++ { // touch three distinct pages
-		if _, err := a.GetTargetBytes(f.Base+uint64(16*i), 1); err != nil {
-			t.Fatal(err)
+// TestPartialPageFill reads from a page that is only partly mapped: its
+// fill faults, the read falls back to the exact uncached read, and a fault
+// comes out exactly as it does with the cache off. The page is not filled
+// again in the same generation.
+func TestPartialPageFill(t *testing.T) {
+	f := newFake(40) // the page [0x1020, 0x1030) is mapped up to 0x1028
+	off := memio.New(f, memio.Config{PageSize: 16})
+	on := memio.New(f, memio.Config{Cache: true, PageSize: 16})
+	for _, r := range []struct {
+		addr uint64
+		n    int
+		kind memio.Kind
+	}{{f.Base + 36, 8, memio.KindShort}, {f.Base + 40, 4, memio.KindUnmapped}} {
+		_, errOff := off.GetTargetBytes(r.addr, r.n)
+		_, errOn := on.GetTargetBytes(r.addr, r.n)
+		var fOff, fOn *memio.Fault
+		if !errors.As(errOff, &fOff) || !errors.As(errOn, &fOn) {
+			t.Fatalf("read of %d at %#x: errors %v and %v, want two *memio.Fault", r.n, r.addr, errOff, errOn)
+		}
+		same := fOn.Addr == fOff.Addr && fOn.Len == fOff.Len && fOn.Op == fOff.Op && fOn.Kind == fOff.Kind &&
+			fOn.Error() == fOff.Error()
+		if fOff.Kind != r.kind || !same {
+			t.Errorf("read of %d at %#x: cache off %+v, cache on %+v; want both %v", r.n, r.addr, *fOff, *fOn, r.kind)
 		}
 	}
-	if a.CachedPages() != 2 {
-		t.Fatalf("resident = %d, want 2", a.CachedPages())
+	before := on.Stats()
+	b, err := on.GetTargetBytes(f.Base+32, 8)
+	if err != nil || !bytes.Equal(b, f.RAM[32:40]) {
+		t.Fatalf("mapped read in the partial page = %x, %v", b, err)
+	}
+	if s := on.Stats(); s.HostReads != before.HostReads+1 || on.CachedPages() != 0 {
+		t.Errorf("mapped read in the partial page: %d host reads, %d pages resident; want 1 exact read, 0 pages",
+			s.HostReads-before.HostReads, on.CachedPages())
+	}
+	on.Flush() // a new generation tries the page again
+	before = on.Stats()
+	if _, err := on.GetTargetBytes(f.Base+32, 8); err != nil {
+		t.Fatal(err)
+	}
+	if s := on.Stats(); s.HostReads != before.HostReads+2 {
+		t.Errorf("after a flush: %d host reads, want a failed fill and an exact read", s.HostReads-before.HostReads)
+	}
+}
+
+// TestDirectMappedConflict reads two pages that map to the same slot: each
+// fill displaces the other page, while a page in another slot stays
+// resident throughout.
+func TestDirectMappedConflict(t *testing.T) {
+	f := newFake(1 << 12)
+	a := memio.New(f, memio.Config{Cache: true, PageSize: 16, MaxPages: 2})
+	p0, p1, p2 := f.Base, f.Base+16, f.Base+32 // p0 and p2 share slot 0
+	read := func(addr uint64) {
+		t.Helper()
+		b, err := a.GetTargetBytes(addr, 4)
+		if err != nil || !bytes.Equal(b, f.RAM[addr-f.Base:addr-f.Base+4]) {
+			t.Fatalf("read at %#x = %x, %v", addr, b, err)
+		}
+	}
+	for _, addr := range []uint64{p0, p1, p2, p0, p1} {
+		read(addr)
 	}
 	s := a.Stats()
-	if s.Evictions != 1 {
-		t.Errorf("evictions = %+v", s)
+	got := [4]int64{s.Misses, s.Hits, s.Evictions, s.HostReads}
+	// p0, p1, p2 (evicts p0), p0 (evicts p2) miss; the second p1 hits.
+	if want := [4]int64{4, 1, 2, 4}; got != want {
+		t.Errorf("Misses, Hits, Evictions, HostReads = %v, want %v", got, want)
 	}
-	// Page 0 was the LRU victim: touching it again is a miss; page 2 hits.
-	if _, err := a.GetTargetBytes(f.Base+32, 1); err != nil {
+	if n := a.CachedPages(); n != 2 {
+		t.Errorf("resident = %d, want 2", n)
+	}
+	if !a.ValidTargetAddr(p0, 4) || a.ValidTargetAddr(p2, 4) != f.ValidTargetAddr(p2, 4) {
+		t.Error("ValidTargetAddr disagrees after a conflict fill")
+	}
+}
+
+// TestGenerationWrap takes the generation to its last value and flushes:
+// the wrap must not bring back a page filled under generation 1, the
+// generation the counter restarts at.
+func TestGenerationWrap(t *testing.T) {
+	f := newFake(1 << 12)
+	a := memio.New(f, memio.Config{Cache: true, PageSize: 16})
+	addr := f.Base + 8
+	if _, err := a.GetTargetBytes(addr, 1); err != nil { // filled under generation 1
 		t.Fatal(err)
 	}
-	if got := a.Stats(); got.Hits != s.Hits+1 {
-		t.Errorf("MRU page missed: %+v", got)
+	f.RAM[8] = 0xEE // behind the accessor
+	memio.SetGeneration(a, math.MaxUint32)
+	if n := a.CachedPages(); n != 0 {
+		t.Fatalf("%d pages resident after the generation moved on", n)
 	}
-	if _, err := a.GetTargetBytes(f.Base, 1); err != nil {
+	a.Flush() // wraps
+	if b, err := a.GetTargetBytes(addr, 1); err != nil || b[0] != 0xEE {
+		t.Fatalf("read after the wrap = %x, %v; want ee (a page from generation 1 came back)", b, err)
+	}
+	// The cache works as before in the new cycle.
+	f.RAM[8] = 0x11
+	a.Flush()
+	if b, err := a.GetTargetBytes(addr, 1); err != nil || b[0] != 0x11 {
+		t.Fatalf("read after a flush past the wrap = %x, %v; want 11", b, err)
+	}
+	if _, err := a.GetTargetBytes(addr, 1); err != nil || a.CachedPages() != 1 || a.Stats().Hits != 1 {
+		t.Errorf("after the wrap: %d pages resident, stats %+v; want 1 and one hit", a.CachedPages(), a.Stats())
+	}
+}
+
+// TestFlushDropsEverything: a Flush empties the cache, and one with nothing
+// resident is not counted.
+func TestFlushDropsEverything(t *testing.T) {
+	f := newFake(1 << 12)
+	a := memio.New(f, memio.Config{Cache: true, PageSize: 16})
+	if _, err := a.GetTargetBytes(f.Base, 64); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Stats(); got.Misses != s.Misses+1 {
-		t.Errorf("evicted page hit: %+v", got)
+	a.Flush()
+	a.Flush()
+	if n, s := a.CachedPages(), a.Stats(); n != 0 || s.Flushes != 1 {
+		t.Errorf("after two flushes: %d pages resident, %d flushes counted; want 0, 1", n, s.Flushes)
+	}
+	f.RAM[0] = 0x77
+	if b, err := a.GetTargetBytes(f.Base, 1); err != nil || b[0] != 0x77 {
+		t.Errorf("read after flush = %x, %v; want 77", b, err)
 	}
 }
 
@@ -297,11 +392,13 @@ func accessorFixture(cfg memio.Config) dbgiftest.Fixture {
 	}
 }
 
-// TestConcurrentAccessors hammers one shared cache-enabled Accessor from
-// many goroutines (run under -race in CI).
+// TestConcurrentAccessors hammers one shared cache-off Accessor from many
+// goroutines (run under -race in CI). With the cache on, only one
+// evaluation at a time may read through an accessor; TestResidentCountConcurrent
+// covers what may run beside it.
 func TestConcurrentAccessors(t *testing.T) {
 	f := newFake(1 << 12)
-	a := memio.New(f, memio.Config{Cache: true, PageSize: 16, MaxPages: 4})
+	a := memio.New(f, memio.Config{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

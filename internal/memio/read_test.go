@@ -32,43 +32,77 @@ func TestReadAllocs(t *testing.T) {
 	}
 }
 
-// TestFetchTakesNoLock checks the lock-free read path: with the cache off
-// a fetch completes while the accessor's mutex is held elsewhere, and with
-// the cache on it waits for the mutex.
+// TestFetchTakesNoLock checks the lock-free read paths: with the cache off
+// a fetch, and with it on a fetch from a resident page, completes while
+// the accessor's mutex is held elsewhere; a cache-on fetch that must fill
+// a page waits for the mutex.
 func TestFetchTakesNoLock(t *testing.T) {
 	f := newFake(1 << 12)
-	a := memio.New(f, memio.Config{PageSize: 16})
-	fetch := func(a *memio.Accessor) chan error {
+	fetch := func(a *memio.Accessor, addr uint64) chan error {
 		done := make(chan error, 1)
 		go func() {
 			var dst [4]byte
-			done <- a.FetchTargetBytes(f.Base+8, dst[:])
+			done <- a.FetchTargetBytes(addr, dst[:])
 		}()
 		return done
 	}
 
-	unlock := memio.Lock(a)
-	select {
-	case err := <-fetch(a):
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cache-off fetch waited for the accessor mutex")
-	}
-	unlock()
-
+	off := memio.New(f, memio.Config{PageSize: 16})
 	on := memio.New(f, memio.Config{Cache: true, PageSize: 16})
-	unlock = memio.Lock(on)
-	done := fetch(on)
+	var dst [4]byte
+	if err := on.FetchTargetBytes(f.Base+8, dst[:]); err != nil { // fills the page
+		t.Fatal(err)
+	}
+	for _, a := range []*memio.Accessor{off, on} {
+		unlock := memio.Lock(a)
+		select {
+		case err := <-fetch(a, f.Base+8):
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cache %v: fetch waited for the accessor mutex", a.Caching())
+		}
+		unlock()
+	}
+
+	unlock := memio.Lock(on)
+	done := fetch(on, f.Base+64)
 	select {
 	case <-done:
-		t.Fatal("cache-on fetch ran without the accessor mutex")
+		t.Fatal("cache-on fill ran without the accessor mutex")
 	case <-time.After(20 * time.Millisecond):
 	}
 	unlock()
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheFillAllocs checks that once the slots exist a page fill
+// allocates nothing: two pages that share a slot are read in turn, so every
+// read is a fill.
+func TestCacheFillAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts: skipped under -race")
+	}
+	f := newFake(1 << 12)
+	a := memio.New(f, memio.Config{Cache: true, PageSize: 16, MaxPages: 2})
+	var dst [4]byte
+	i := 0
+	read := func() {
+		i++
+		if err := a.FetchTargetBytes(f.Base+uint64(i%2)*32, dst[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	before := a.Stats().Misses
+	if got := testing.AllocsPerRun(100, read); got != 0 {
+		t.Errorf("a page fill made %.1f allocations, want 0", got)
+	}
+	if fills := a.Stats().Misses - before; fills != 101 {
+		t.Errorf("%d fills in 101 reads of two pages sharing a slot, want 101", fills)
 	}
 }
 
@@ -96,10 +130,12 @@ func TestFetchLeavesNoStaleByte(t *testing.T) {
 	}
 }
 
-// TestFetchRace runs fetches concurrently with ValidTargetAddr, Flush,
-// PutTargetBytes and Stats on one accessor (run under -race in CI). The
-// writer and the readers use disjoint ranges: the accessor's own state is
-// what is under test, not the substrate's.
+// TestFetchRace runs fetches concurrently with ValidTargetAddr,
+// CachedPages, Flush, PutTargetBytes and Stats on one accessor (run under
+// -race in CI). With the cache off two goroutines fetch and another
+// flushes; with it on, fetches and flushes stay on one goroutine, as one
+// evaluation's would. The writer and the readers use disjoint ranges: the
+// accessor's own state is what is under test, not the substrate's.
 func TestFetchRace(t *testing.T) {
 	f := newFake(1 << 12)
 	for _, cache := range []bool{false, true} {
@@ -114,7 +150,11 @@ func TestFetchRace(t *testing.T) {
 				}
 			}()
 		}
-		for g := 0; g < 2; g++ {
+		readers := 2
+		if cache {
+			readers = 1
+		}
+		for g := 0; g < readers; g++ {
 			run(func(i int) {
 				off := uint64((i*13 + g*7) % 1024)
 				var dst [4]byte
@@ -123,11 +163,15 @@ func TestFetchRace(t *testing.T) {
 				} else if dst[0] != byte(off) {
 					t.Errorf("fetch at +%d = %x", off, dst)
 				}
+				if cache && i%5 == 0 {
+					a.Flush()
+				}
 			})
 		}
 		run(func(i int) {
 			a.ValidTargetAddr(f.Base+uint64(i%64)*16, 64)
-			if i%5 == 0 {
+			_ = a.CachedPages()
+			if !cache && i%5 == 0 {
 				a.Flush()
 			}
 		})
@@ -138,8 +182,8 @@ func TestFetchRace(t *testing.T) {
 		})
 		run(func(int) { _ = a.Stats() })
 		wg.Wait()
-		if s := a.Stats(); s.Reads != 600 || s.Writes != 300 {
-			t.Errorf("cache %v: Reads, Writes = %d, %d; want 600, 300", cache, s.Reads, s.Writes)
+		if s := a.Stats(); s.Reads != int64(300*readers) || s.Writes != 300 {
+			t.Errorf("cache %v: Reads, Writes = %d, %d; want %d, 300", cache, s.Reads, s.Writes, 300*readers)
 		}
 	}
 }

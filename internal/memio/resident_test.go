@@ -75,17 +75,20 @@ func TestResidentCount(t *testing.T) {
 	if _, err := on.GetTargetBytes(f.Base+256, 64); err != nil {
 		t.Fatal(err)
 	}
+	// Pages 16-19 map to slots 0-3: they displace pages 0 and 1, take the
+	// slot page 2 was invalidated from, and fill the empty one.
 	if on.Stats().Evictions != 2 {
-		t.Fatalf("a 4-page read over a bound of 4 with 2 resident evicted %d pages, want 2: %+v", on.Stats().Evictions, on.Stats())
+		t.Fatalf("a read of pages 16-19 into 4 slots holding pages 0 and 1 evicted %d pages, want 2: %+v", on.Stats().Evictions, on.Stats())
 	}
-	check(on, "LRU eviction", 4)
+	check(on, "conflict eviction", 4)
 	on.Flush()
 	check(on, "flush", 0)
 }
 
 // TestResidentCountConcurrent runs ValidTargetAddr, CachedPages and Stats
 // on other goroutines while a cache-on accessor's resident set grows by
-// reads and shrinks by eviction, writes and flushes; run it with -race.
+// reads and shrinks by eviction, writes and flushes, all on one goroutine
+// as one evaluation would; run it with -race.
 func TestResidentCountConcurrent(t *testing.T) {
 	f := newFake(1 << 12)
 	a := memio.New(f, memio.Config{Cache: true, PageSize: 16, MaxPages: 32})

@@ -102,6 +102,10 @@ func Load(p *target.Process, d dbgif.Debugger, src string) (*Interp, error) {
 	// with-scope, so "p->x = x" reads the parameter x as a C compiler
 	// would.
 	opts.CScoping = true
+	// The interpreter is the target's own CPU: it writes new stack frames
+	// straight into the process's memory, behind the accessor, so a page
+	// cache would serve it the bytes from before the write.
+	opts.MemCache = false
 	in := &Interp{P: p, D: d, File: file, MaxDepth: 512, env: core.NewEnv(d, opts)}
 	p.CallBody = in.callBody
 

@@ -50,11 +50,13 @@
 // at a time (its name-resolution stack and step budget are per-evaluation
 // state), so parallelism across queries comes from a pool of sessions, each
 // with its own memio.Accessor — which also keeps one query's interrupt from
-// aborting its neighbors. The target below the pool has no synchronization
-// of its own, so the server classifies each query by AST walk: queries that
-// only read target memory share the target under a read lock, while
-// mutating queries (assignments, ++/--, target calls, declarations, interned
-// string literals) get it exclusively.
+// aborting its neighbors. An accessor's page cache lasts one evaluation,
+// so a write made through one session needs no invalidation of the others:
+// their next query starts with an empty cache. The target below the pool
+// has no synchronization of its own, so the server classifies each query
+// by AST walk: queries that only read target memory share the target under
+// a read lock, while mutating queries (assignments, ++/--, target calls,
+// declarations, interned string literals) get it exclusively.
 //
 // The read path is built to scale with the worker count. DUEL traffic is
 // read-dominated — "x[..n] >? v" walks memory without writing it — so
@@ -64,10 +66,6 @@
 //   - Counters are atomic (no stats mutex on the hot path).
 //   - Each worker keeps session affinity with the last target it served, so
 //     a steady stream against one target never touches the pool mutex.
-//   - Post-write cache invalidation is epoch-based: a mutating query bumps
-//     the target's write epoch and each session lazily flushes its own page
-//     cache the next time it observes a new epoch, instead of the writer
-//     walking and flushing every pooled accessor while readers wait.
 //   - The breaker's closed-state admit/record path is atomic.
 //   - Jobs (and their one-shot done channels) are recycled through a
 //     sync.Pool, so the submit→worker→submit round-trip is two direct
@@ -270,36 +268,8 @@ type targetState struct {
 	clsMu sync.Mutex
 	cls   *duel.Session
 
-	// epoch counts mutating queries. A mutating query bumps it while it
-	// still holds the write lock; every session records the epoch its page
-	// cache was last valid at and flushes itself lazily when the two
-	// disagree (see pooledSession.sync). This replaces the old write-side
-	// flushAll walk over every pooled accessor, which both stretched the
-	// exclusive section and made registration-order state (the "all" list)
-	// part of the hot path.
-	epoch atomic.Uint64
-
 	poolMu sync.Mutex
-	idle   []*pooledSession
-}
-
-// pooledSession is one pooled session plus the target write epoch its page
-// cache last observed. Exactly one query uses a pooledSession at a time
-// (it is either in the idle pool, held as a worker's affinity session, or
-// running), so epoch needs no synchronization of its own.
-type pooledSession struct {
-	ses   *duel.Session
-	epoch uint64
-}
-
-// sync brings the session's page cache up to the target's current write
-// epoch. Called with the target's lock held (shared or exclusive), so the
-// epoch cannot advance concurrently.
-func (ps *pooledSession) sync(t *targetState) {
-	if e := t.epoch.Load(); ps.epoch != e {
-		ps.ses.Mem().Flush()
-		ps.epoch = e
-	}
+	idle   []*duel.Session
 }
 
 // affinity is a worker's cached (target, session) pair: the session it used
@@ -307,8 +277,8 @@ func (ps *pooledSession) sync(t *targetState) {
 // against one target runs entirely worker-locally. Only the owning worker
 // goroutine touches it.
 type affinity struct {
-	t  *targetState
-	ps *pooledSession
+	t   *targetState
+	ses *duel.Session
 }
 
 // job is one attempt of an admitted query. Jobs are recycled through
@@ -865,8 +835,8 @@ func (s *Server) worker(id int) {
 	defer s.wg.Done()
 	var aff affinity
 	defer func() {
-		if aff.ps != nil {
-			aff.t.put(aff.ps)
+		if aff.ses != nil {
+			aff.t.put(aff.ses)
 		}
 	}()
 	for {
@@ -889,22 +859,22 @@ func (s *Server) worker(id int) {
 // acquire hands the worker a session for j's target: its affinity session
 // when the target matches, a pooled (or fresh) one otherwise — releasing
 // the old affinity session back to its own target's pool first.
-func (s *Server) acquire(j *job, aff *affinity) (*pooledSession, error) {
-	if aff.ps != nil && aff.t == j.t {
-		ps := aff.ps
-		aff.ps = nil
-		return ps, nil
+func (s *Server) acquire(j *job, aff *affinity) (*duel.Session, error) {
+	if aff.ses != nil && aff.t == j.t {
+		ses := aff.ses
+		aff.ses = nil
+		return ses, nil
 	}
-	if aff.ps != nil {
-		aff.t.put(aff.ps)
-		aff.ps = nil
+	if aff.ses != nil {
+		aff.t.put(aff.ses)
+		aff.ses = nil
 	}
 	return j.t.get()
 }
 
 // retain parks the session as the worker's affinity session for j's target.
-func retain(j *job, aff *affinity, ps *pooledSession) {
-	aff.t, aff.ps = j.t, ps
+func retain(j *job, aff *affinity, ses *duel.Session) {
+	aff.t, aff.ses = j.t, ses
 }
 
 // run executes one attempt on the calling worker. Completion/failure
@@ -945,13 +915,12 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 		return ErrDraining
 	}
 
-	ps, err := s.acquire(j, aff)
+	ses, err := s.acquire(j, aff)
 	if err != nil {
 		s.releaseProbes(j)
 		j.ran = true // the query spent its admission; the submitter counts it
 		return err
 	}
-	ses := ps.ses
 	n := j.node
 	if n == nil {
 		var perr error
@@ -960,7 +929,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 			// about target health, so neither the breaker nor the health
 			// score hears about it.
 			s.releaseProbes(j)
-			retain(j, aff, ps)
+			retain(j, aff, ses)
 			j.ran = true
 			return perr
 		}
@@ -973,7 +942,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 		// shared lock, but writes — which take the exclusive lock and
 		// amplify its sickness into pool-wide stalls — are shed.
 		s.releaseProbes(j)
-		retain(j, aff, ps)
+		retain(j, aff, ses)
 		j.t.health.brownoutSheds.Add(1)
 		return fmt.Errorf("target %q: %w", j.t.name, ErrBrownout)
 	}
@@ -995,19 +964,11 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 		j.t.rw.RLock(id)
 	}
 	j.t.locks.Add(1)
-	// Under the lock the write epoch is stable; catch this session's page
-	// cache up to it before touching memory.
-	ps.sync(j.t)
 	start := time.Now()
 	err = ses.EvalNodeContext(ctx, n, j.emit)
 	elapsed := time.Since(start)
 	j.evalDur = elapsed
 	if mutating {
-		// Publish the mutation: sessions whose accessors may hold
-		// pre-write bytes flush themselves when they next observe the new
-		// epoch. This session's own accessor invalidated as it wrote, so
-		// it is already current.
-		ps.epoch = j.t.epoch.Add(1)
 		j.t.rw.Unlock()
 	} else {
 		j.t.rw.RUnlock(id)
@@ -1036,7 +997,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 		// caller's x := alias.
 		ses.ClearAliases()
 	}
-	retain(j, aff, ps)
+	retain(j, aff, ses)
 	j.ran = true
 	return err
 }
@@ -1076,28 +1037,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// get pops an idle pooled session or builds a fresh one. A fresh session's
-// accessor holds no pages, so any epoch labels it correctly.
-func (t *targetState) get() (*pooledSession, error) {
+// get pops an idle pooled session or builds a fresh one.
+func (t *targetState) get() (*duel.Session, error) {
 	t.poolMu.Lock()
 	if n := len(t.idle); n > 0 {
-		ps := t.idle[n-1]
+		ses := t.idle[n-1]
 		t.idle = t.idle[:n-1]
 		t.poolMu.Unlock()
-		return ps, nil
+		return ses, nil
 	}
 	t.poolMu.Unlock()
-	ses, err := t.factory()
-	if err != nil {
-		return nil, err
-	}
-	return &pooledSession{ses: ses, epoch: t.epoch.Load()}, nil
+	return t.factory()
 }
 
 // put returns a session to the pool.
-func (t *targetState) put(ps *pooledSession) {
+func (t *targetState) put(ses *duel.Session) {
 	t.poolMu.Lock()
-	t.idle = append(t.idle, ps)
+	t.idle = append(t.idle, ses)
 	t.poolMu.Unlock()
 }
 

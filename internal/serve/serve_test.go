@@ -950,12 +950,13 @@ func TestMutatesTargetReadOnly(t *testing.T) {
 	}
 }
 
-// TestEpochFlushCoherence: with the page cache ON, a mutating query must
-// invalidate what every pooled session has cached — lazily, via the write
-// epoch — so concurrent readers never serve pre-write bytes. Several
-// write→read rounds through a multi-worker server, with reads fanned wide
-// enough that many distinct pooled sessions (with warm caches) answer.
-func TestEpochFlushCoherence(t *testing.T) {
+// TestWriteThenReadCoherence: with the page cache on, a read that follows a
+// mutating query must see the write, whichever pooled session answers it —
+// each evaluation starts with an empty cache, so no session serves
+// pre-write bytes. Several write→read rounds through a multi-worker server,
+// with reads fanned wide enough that many distinct pooled sessions (with
+// caches filled by the previous round) answer.
+func TestWriteThenReadCoherence(t *testing.T) {
 	f := buildDebuggee(t)
 	opts := duel.DefaultOptions()
 	opts.Eval.MemCache = true

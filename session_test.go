@@ -286,7 +286,9 @@ func TestMemCacheRoundTrips(t *testing.T) {
 
 // TestMemCacheListWalk checks the other hot shape from the paper — a -->next
 // list walk — stays correct and cheaper with the cache on, including after a
-// mutation through the session (write-through invalidation).
+// mutation through the session: a store drops the page the same evaluation
+// read just before it (write-through invalidation), and the next
+// evaluation starts with an empty cache.
 func TestMemCacheListWalk(t *testing.T) {
 	run := func(cache bool) (string, core.Counters) {
 		t.Helper()
@@ -303,7 +305,7 @@ func TestMemCacheListWalk(t *testing.T) {
 		}
 		// Mutate through the session, then re-read: the cache must not
 		// serve the stale head value.
-		if err := s.Exec(&sb, "head->value = 4242"); err != nil {
+		if err := s.Exec(&sb, "head->value, head->value = 4242, head->value"); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Exec(&sb, "head->value"); err != nil {
@@ -316,7 +318,8 @@ func TestMemCacheListWalk(t *testing.T) {
 	if outOff != outOn {
 		t.Fatalf("output differs cache-on vs cache-off:\n off:\n%s\n on:\n%s", outOff, outOn)
 	}
-	if !strings.Contains(outOn, "4242") {
+	if lines := strings.Split(strings.TrimSpace(outOn), "\n"); len(lines) < 2 ||
+		lines[len(lines)-2] != "head->value = 4242" || lines[len(lines)-1] != "head->value = 4242" {
 		t.Fatalf("stale value after write-through invalidation:\n%s", outOn)
 	}
 	if on.HostReads >= off.HostReads {
@@ -355,7 +358,6 @@ func TestConcurrentSessionsSharedProcess(t *testing.T) {
 			defer wg.Done()
 			opts := duel.DefaultOptions()
 			opts.Eval.MemCache = true
-			opts.Eval.MemCachePageSize = 64 << (g % 3)
 			s := duel.MustNewSession(d, opts)
 			for i := 0; i < 5; i++ {
 				for qi, q := range queries {
