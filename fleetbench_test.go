@@ -48,7 +48,6 @@ func fleetBenchGroup(b *testing.B, degraded bool) *fleet.Router {
 		if degraded && i == 0 {
 			cfg.Retry = serve.RetryConfig{Disabled: true}
 			cfg.Health = serve.HealthConfig{Disabled: true}
-			cfg.Breaker = serve.BreakerConfig{Threshold: 1 << 30}
 			servers[i] = serve.New(cfg)
 			servers[i].Register("bench", faultdbg.New(d, faultdbg.Plan{
 				Seed:  int64(i + 1),

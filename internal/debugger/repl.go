@@ -473,10 +473,10 @@ opts:
 	qps := float64(st.Completed) / elapsed.Seconds()
 	r.printf("served %d queries in %v with %d workers (%.0f queries/sec)\n",
 		st.Completed, elapsed.Round(time.Microsecond), workers, qps)
-	r.printf("admission: %d admitted, %d shed, %d refused by breaker, %d trips; %d evaluations failed\n",
-		st.Admitted, st.Shed, st.FastFails, st.Trips, failed.Load())
-	r.printf("resilience: %d deadline-expired, %d retried, %d quarantined\n",
-		st.DeadlineExpired, st.Retried, st.Quarantined)
+	r.printf("admission: %d admitted, %d shed, %d refused by quarantine, %d quarantines; %d evaluations failed\n",
+		st.Admitted, st.Shed, st.QuarantineFails, st.Quarantined, failed.Load())
+	r.printf("resilience: %d deadline-expired, %d retried, %d brownouts\n",
+		st.DeadlineExpired, st.Retried, st.Brownouts)
 	meanQ, meanE := time.Duration(0), time.Duration(0)
 	if st.Completed > 0 {
 		meanQ = time.Duration(st.QueueNanos / st.Completed)

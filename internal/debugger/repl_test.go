@@ -660,9 +660,9 @@ func TestServeCommand(t *testing.T) {
 	for _, want := range []string{
 		"served 8 queries",
 		"with 2 workers",
-		"admission: 8 admitted, 0 shed",
+		"admission: 8 admitted, 0 shed, 0 refused by quarantine, 0 quarantines;",
 		"0 evaluations failed",
-		"resilience: 0 deadline-expired",
+		"resilience: 0 deadline-expired, 0 retried, 0 brownouts",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("serve output missing %q:\n%s", want, out)

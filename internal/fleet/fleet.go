@@ -2,8 +2,8 @@
 // surviving the death of a whole replica the way internal/serve survives
 // the death of a single read.
 //
-// The serving layer's resilience machinery (breakers, retry budgets,
-// health-driven brownout and quarantine) is all per-target on one
+// The serving layer's resilience machinery (retry budgets, health-driven
+// brownout and quarantine) is all per-target on one
 // node: when the target itself dies — the process is gone, the core file is
 // corrupt, the substrate wedges permanently — every query against it fails,
 // however politely. The fleet layer lifts the same rate-based health
@@ -18,9 +18,9 @@
 //     rate-based score), and round-robin rotation spreads load across the
 //     equally healthy. Killed replicas are skipped outright.
 //   - Failover. When the chosen replica fails for a reason that condemns
-//     the REPLICA rather than the query — ErrQuarantined, ErrCircuitOpen, a
-//     memio retry schedule spent to exhaustion, or an administrative kill
-//     canceling the attempt mid-stream — the router re-runs the query on
+//     the REPLICA rather than the query — ErrQuarantined, a memio retry
+//     schedule spent to exhaustion, or an administrative kill canceling
+//     the attempt mid-stream — the router re-runs the query on
 //     the next replica in routing order, under a bounded per-query failover
 //     budget. Values the caller already received are suppressed on the
 //     re-run (replicas answer identically by construction; the scrubber
@@ -463,10 +463,10 @@ func prepare(rep *replica, src string) *serve.Query {
 }
 
 // failoverable reports whether an attempt error condemns the replica rather
-// than the query: quarantine and breaker fast-fails (the node itself says
-// the target is sick), a memio retry schedule spent to exhaustion (the
-// substrate is faulting beyond what retries absorb), and an administrative
-// kill canceling the attempt. Everything else — parse and type errors, the
+// than the query: a quarantine fast-fail (the node itself says the target
+// is sick), a memio retry schedule spent to exhaustion (the substrate is
+// faulting beyond what retries absorb), and an administrative kill
+// canceling the attempt. Everything else — parse and type errors, the
 // paper's garbage-pointer faults, step limits, the CALLER's own
 // cancellation or deadline — is the query's verdict and follows it to the
 // caller unchanged.
@@ -475,7 +475,6 @@ func failoverable(err error) bool {
 		return false
 	}
 	return errors.Is(err, serve.ErrQuarantined) ||
-		errors.Is(err, serve.ErrCircuitOpen) ||
 		memio.IsRetryExhausted(err) ||
 		errors.Is(err, ErrReplicaKilled)
 }

@@ -165,7 +165,6 @@ func TestFleetFailoverRetryExhausted(t *testing.T) {
 		Workers: 2,
 		Retry:   serve.RetryConfig{Disabled: true},
 		Health:  serve.HealthConfig{Disabled: true},
-		Breaker: serve.BreakerConfig{Threshold: 1 << 30},
 	})
 	// Every read faults transiently and retries are off: the fault surfaces
 	// as retry exhaustion, the one substrate verdict that condemns the
@@ -205,6 +204,55 @@ func TestFleetFailoverRetryExhausted(t *testing.T) {
 	}
 }
 
+// TestFleetHardDownReplicaLosesRouting: on default serve settings, a replica
+// whose every read faults browns out through its health score and routing
+// stops offering it first, so a run of reads pays only the few failovers
+// that drove the score down. No fail-fast layer may refuse queries behind
+// health's back: a replica that stays "healthy" while refusing would keep
+// leading the rotation and cost a failover on every third read.
+func TestFleetHardDownReplicaLosesRouting(t *testing.T) {
+	r := New(Config{})
+	defer r.Close()
+	servers := make([]*serve.Server, 3)
+	reps := make([]Replica, 3)
+	for i := range servers {
+		servers[i] = serve.New(serve.Config{Workers: 2})
+		var d dbgif.Debugger = buildReplicaImage(t)
+		if i == 0 {
+			d = faultdbg.New(d, faultdbg.Plan{
+				Seed:  1,
+				Rates: map[faultdbg.Kind]float64{faultdbg.Transient: 1.0},
+			})
+		}
+		servers[i].Register("t", d)
+		reps[i] = Replica{Server: servers[i], Target: "t"}
+	}
+	defer func() {
+		for _, s := range servers {
+			_ = s.Shutdown(context.Background())
+		}
+	}()
+	if err := r.AddGroup("g", reps); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 90; i++ {
+		got, err := r.Eval(context.Background(), "g", "x[..10]")
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if len(got) != 10 {
+			t.Fatalf("read %d: %d values, want 10", i, len(got))
+		}
+	}
+	if st := r.Stats(); st.Failovers > 3 {
+		t.Errorf("Failovers = %d over 90 reads, want <= 3 (the sick replica kept leading the rotation)", st.Failovers)
+	}
+	if h, err := servers[0].TargetHealth("t"); err != nil || h == serve.TargetHealthy {
+		t.Errorf("sick replica health = %v (%v), want it out of %v", h, err, serve.TargetHealthy)
+	}
+}
+
 // TestFleetNoReplicaAvailable: when every replica condemns itself the query
 // surfaces typed ErrNoReplicaAvailable wrapping the last replica error.
 func TestFleetNoReplicaAvailable(t *testing.T) {
@@ -217,7 +265,6 @@ func TestFleetNoReplicaAvailable(t *testing.T) {
 			Workers: 2,
 			Retry:   serve.RetryConfig{Disabled: true},
 			Health:  serve.HealthConfig{Disabled: true},
-			Breaker: serve.BreakerConfig{Threshold: 1 << 30},
 		})
 		s.Register("t", faultdbg.New(buildReplicaImage(t), faultdbg.Plan{
 			Seed:  int64(i + 1),
@@ -264,7 +311,6 @@ func TestFleetFailoverBudget(t *testing.T) {
 		Workers: 2,
 		Retry:   serve.RetryConfig{Disabled: true},
 		Health:  serve.HealthConfig{Disabled: true},
-		Breaker: serve.BreakerConfig{Threshold: 1 << 30},
 	})
 	faulty.Register("t", faultdbg.New(buildReplicaImage(t), faultdbg.Plan{
 		Seed:  1,
@@ -442,7 +488,6 @@ func TestFleetFanoutError(t *testing.T) {
 		Workers: 2,
 		Retry:   serve.RetryConfig{Disabled: true},
 		Health:  serve.HealthConfig{Disabled: true},
-		Breaker: serve.BreakerConfig{Threshold: 1 << 30},
 	})
 	bad.Register("t", faultdbg.New(buildReplicaImage(t), faultdbg.Plan{
 		Seed:  7,

@@ -43,10 +43,6 @@ func TestServeChaosSoak(t *testing.T) {
 		slots := fc.MustVar("w", fc.A.ArrayOf(fc.A.Int, goroutines*perG))
 		srv := New(Config{
 			Workers: 8,
-			// The breaker's consecutive-failure fuse would mask the health
-			// path under a 95% storm; park it far away — it has its own
-			// deterministic tests.
-			Breaker: BreakerConfig{Threshold: 1000},
 			Health:  HealthConfig{ProbeInterval: 25 * time.Millisecond},
 		})
 		// Target "a": a transient-fault storm. Limit bounds each session's
@@ -113,7 +109,7 @@ func TestServeChaosSoak(t *testing.T) {
 				return false
 			}
 			for _, want := range []error{
-				ErrOverloaded, ErrDraining, ErrCircuitOpen,
+				ErrOverloaded, ErrDraining,
 				ErrQuarantined, ErrBrownout, ErrDeadlineExceeded,
 			} {
 				if errors.Is(err, want) {
@@ -153,7 +149,7 @@ func TestServeChaosSoak(t *testing.T) {
 		// ran and failed, and 2 if any layer ran it twice.
 		refused := func(err error) bool {
 			for _, r := range []error{
-				ErrOverloaded, ErrDraining, ErrCircuitOpen,
+				ErrOverloaded, ErrDraining,
 				ErrQuarantined, ErrBrownout, ErrDeadlineExceeded,
 			} {
 				if errors.Is(err, r) {

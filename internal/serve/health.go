@@ -6,13 +6,12 @@ import (
 	"time"
 )
 
-// health.go: per-target health scoring with brownout and quarantine.
+// health.go: per-target health scoring with brownout and quarantine — the
+// serve layer's one fail-fast state machine.
 //
-// The circuit breaker (breaker.go) is a consecutive-failure fuse: it needs N
-// infra failures in a row, and one success resets it — exactly right for a
-// hard-down target, blind to a merely sick one that fails 30% of the time or
-// has gone slow. The health tracker generalizes the breaker into a
-// rate-based signal with a graded response:
+// The score is a rate-based signal, so it sees a merely sick target (one
+// that fails 30% of the time, or has gone slow) as well as a hard-down one,
+// and it drives a graded response:
 //
 //	Healthy ──score < brownout──▶ Brownout ──score < quarantine──▶ Quarantined
 //	   ▲                             │                                │
@@ -27,10 +26,15 @@ import (
 // every query fails fast with ErrQuarantined except a single probe per
 // ProbeInterval, whose clean completion re-admits the target.
 //
+// A hard-down target needs no rule of its own: with the defaults, a full
+// score falls below the brownout line at the 6th consecutive infra failure
+// (0.449) and below the quarantine line at the 11th (0.230), after which
+// it costs one probe per ProbeInterval.
+//
 // The score is a lossy EWMA over per-query outcome samples (success 1,
 // slow ½, infra failure 0) kept in a fixed-point atomic: racing updates may
-// drop a sample, which only delays a transition by one query — the same
-// heuristic-over-serializer trade the breaker's closed path makes.
+// drop a sample, which only delays a transition by one query — a heuristic
+// is cheaper than a serializer on every query's path.
 
 // Health defaults. A zero HealthConfig enables tracking with these values;
 // set Disabled to opt out entirely.
@@ -97,7 +101,8 @@ const healthScale = 1 << 20
 
 // health tracks one target's score and drives its state machine. The score
 // and state are atomics read on every admission; the mutex guards only
-// transitions and the probe slot, mirroring the breaker's layout.
+// transitions and the probe slot, so a healthy target's admit and observe
+// take no lock.
 type health struct {
 	cfg HealthConfig
 	now func() time.Time
@@ -188,7 +193,9 @@ func (h *health) allowWrite() bool {
 // observe feeds one evaluation outcome into the score and drives the state
 // machine. probe marks a quarantine probe: its clean completion re-admits
 // the target with a full score (one good probe restores service; the EWMA
-// would otherwise need Window good queries that quarantine never admits).
+// would otherwise need Window good queries that quarantine never admits),
+// and its failure re-arms a full ProbeInterval from now, so a probe that
+// took long to fail does not let the next one straight through.
 func (h *health) observe(probe, infraFail, slow bool) {
 	if h.cfg.Disabled {
 		return
@@ -196,7 +203,9 @@ func (h *health) observe(probe, infraFail, slow bool) {
 	if probe {
 		h.mu.Lock()
 		h.probing = false
-		if !infraFail && HealthState(h.state.Load()) == TargetQuarantined {
+		if infraFail {
+			h.lastProbe = h.now()
+		} else if HealthState(h.state.Load()) == TargetQuarantined {
 			h.scoreFP.Store(healthScale)
 			h.state.Store(int32(TargetHealthy))
 		}

@@ -188,7 +188,6 @@ func TestRetryBudgetBounded(t *testing.T) {
 		srv := New(Config{
 			Workers: 1,
 			Retry:   RetryConfig{Burst: 1, Ratio: 0.001, Backoff: time.Microsecond},
-			Breaker: BreakerConfig{Threshold: 100},
 		})
 		srv.RegisterFactory("t", func() (*duel.Session, error) {
 			return duel.NewSession(memio.New(flaky, memio.Config{RetryBackoff: time.Microsecond}), duel.DefaultOptions())
@@ -215,59 +214,16 @@ func TestRetryBudgetBounded(t *testing.T) {
 	})
 }
 
-// TestRetryOnCircuitOpen: a breaker rejection is a retryable infra failure —
-// the retry burns budget even when the breaker refuses again, and the
-// refusal never counts as an admission or completion.
-func TestRetryOnCircuitOpen(t *testing.T) {
-	checkNoLeak(t, func() {
-		f := buildDebuggee(t)
-		clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-		srv := New(Config{
-			Workers: 1,
-			Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Hour},
-			now:     clk.now,
-		})
-		srv.Register("t", f)
-		defer func() {
-			if err := srv.Shutdown(context.Background()); err != nil {
-				t.Error(err)
-			}
-		}()
-		tst, err := srv.lookup("t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tst.brk.record(false, true)
-		tst.brk.record(false, true) // breaker open, cooldown far away
-
-		_, err = srv.Eval(context.Background(), "t", "x[0]")
-		if !errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("open-breaker query: got %v, want ErrCircuitOpen", err)
-		}
-		st := srv.Stats()
-		if st.Retried != 1 {
-			t.Fatalf("Retried = %d, want 1 (the rejection was retried once)", st.Retried)
-		}
-		if st.FastFails != 2 {
-			t.Fatalf("FastFails = %d, want 2 (original + retry both refused)", st.FastFails)
-		}
-		if st.Admitted != 0 || st.Completed != 0 {
-			t.Fatalf("stats = %+v, want no admissions or completions for refused attempts", st)
-		}
-	})
-}
-
-// healthFixture: a server over a switchable always-failing target, retries
-// off and the breaker out of the way so the health state machine is the
-// only actor, on a pinned clock.
-func healthFixture(t *testing.T) (*Server, *flakyTarget, *fakeClock) {
+// healthFixture: a server over a switchable always-failing target with the
+// given retry policy, on a pinned clock. With retries off, each query feeds
+// the health state machine exactly one sample.
+func healthFixture(t *testing.T, retry RetryConfig) (*Server, *flakyTarget, *fakeClock) {
 	t.Helper()
 	flaky := &flakyTarget{Fake: buildDebuggee(t), failN: -1}
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	srv := New(Config{
 		Workers: 1,
-		Retry:   RetryConfig{Disabled: true},
-		Breaker: BreakerConfig{Threshold: 1 << 30},
+		Retry:   retry,
 		now:     clk.now,
 	})
 	srv.RegisterFactory("t", func() (*duel.Session, error) {
@@ -298,7 +254,7 @@ func driveHealth(t *testing.T, srv *Server, want HealthState) {
 // keep being served, and recovers to healthy once reads succeed again.
 func TestBrownoutShedsWritesServesReads(t *testing.T) {
 	checkNoLeak(t, func() {
-		srv, flaky, _ := healthFixture(t)
+		srv, flaky, _ := healthFixture(t, RetryConfig{Disabled: true})
 		defer func() {
 			if err := srv.Shutdown(context.Background()); err != nil {
 				t.Error(err)
@@ -343,7 +299,8 @@ func TestBrownoutShedsWritesServesReads(t *testing.T) {
 // one clean probe per interval restores service.
 func TestQuarantineProbeReadmission(t *testing.T) {
 	checkNoLeak(t, func() {
-		srv, flaky, clk := healthFixture(t)
+		// Retries on, so the fast-fail below can show it spends none.
+		srv, flaky, clk := healthFixture(t, RetryConfig{})
 		defer func() {
 			if err := srv.Shutdown(context.Background()); err != nil {
 				t.Error(err)
@@ -352,10 +309,12 @@ func TestQuarantineProbeReadmission(t *testing.T) {
 
 		driveHealth(t, srv, TargetQuarantined)
 
-		// Fail fast, without touching the substrate.
+		// Fail fast, without touching the substrate, and without a serve
+		// retry or an admission: the refusal never ran.
 		flaky.mu.Lock()
 		callsBefore := flaky.calls
 		flaky.mu.Unlock()
+		before := srv.Stats()
 		_, err := srv.Eval(context.Background(), "t", "x[0]")
 		if !errors.Is(err, ErrQuarantined) {
 			t.Fatalf("quarantined query: got %v, want ErrQuarantined", err)
@@ -365,6 +324,10 @@ func TestQuarantineProbeReadmission(t *testing.T) {
 		flaky.mu.Unlock()
 		if callsAfter != callsBefore {
 			t.Fatalf("fast-fail touched the target: %d reads -> %d", callsBefore, callsAfter)
+		}
+		if after := srv.Stats(); after.Retried != before.Retried || after.Admitted != before.Admitted {
+			t.Fatalf("fast-fail moved Retried %d -> %d, Admitted %d -> %d; want both unchanged",
+				before.Retried, after.Retried, before.Admitted, after.Admitted)
 		}
 
 		// Heal the substrate; within one probe interval the next query is
@@ -443,13 +406,12 @@ func TestShutdownDrainsRetries(t *testing.T) {
 		// backoff and every query retries, so queries sit between their
 		// attempts and on their second attempt while Shutdown drains. A
 		// poller watches the invariant live, and checkNoLeak around the
-		// whole test catches a stranded attempt. Health tracking and the
-		// breaker are out of the way so nothing fails fast.
+		// whole test catches a stranded attempt. Health tracking is off so
+		// nothing fails fast.
 		flaky := &flakyTarget{Fake: buildDebuggee(t), failN: -1}
 		srv = New(Config{
 			Workers: 4,
 			Retry:   RetryConfig{Burst: 8, Ratio: 1, Backoff: 500 * time.Microsecond},
-			Breaker: BreakerConfig{Threshold: 1 << 20},
 			Health:  HealthConfig{Disabled: true},
 		})
 		srv.RegisterFactory("t", func() (*duel.Session, error) {

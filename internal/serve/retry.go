@@ -10,11 +10,11 @@ import (
 //
 // memio already retries transient faults per memory operation; what reaches
 // the serve layer is a query whose whole low-level schedule was spent
-// (memio.RetryExhaustedError) or one the breaker refused in passing
-// (ErrCircuitOpen during a half-open probe window). Re-running such a query
-// once on a fresh session often succeeds — a different pooled accessor, a
-// recovered probe — but unconditional retries double the offered load on a
-// target exactly when it is sickest. The classic answer is a token-bucket
+// (memio.RetryExhaustedError). Re-running such a query once on a fresh
+// session often succeeds — a different pooled accessor, a fault that has
+// passed — but unconditional retries double the offered load on a target
+// exactly when it is sickest. A refusal (quarantine, overload, drain) never
+// ran and is not retried. The classic answer is a token-bucket
 // retry budget (retries capped to a fraction of recent successful traffic):
 // isolated faults get retried essentially always, correlated failure storms
 // exhaust the bucket and degrade to single attempts.
@@ -46,8 +46,8 @@ type RetryConfig struct {
 const retryScale = 1 << 20
 
 // retryBudget is a lock-free token bucket. earn() on the completion path is
-// lossy in the same way the breaker's closed path is: a racing pair of
-// earns may overshoot the cap by one sample, which take() tolerates.
+// lossy in the same way the health score is: a racing pair of earns may
+// overshoot the cap by one sample, which take() tolerates.
 type retryBudget struct {
 	disabled bool
 	earnFP   int64

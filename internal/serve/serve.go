@@ -14,11 +14,6 @@
 //     queue; when the queue is full the server sheds the query immediately
 //     with ErrOverloaded instead of queueing unboundedly and deadlocking
 //     under overload.
-//   - Per-target circuit breakers. Repeated infrastructure failures
-//     (unretryable transient faults, wedged calls, evaluation timeouts)
-//     trip the target's breaker; while open, queries against it fail fast
-//     with ErrCircuitOpen instead of tying workers up on a sick target, and
-//     a half-open probe closes the breaker once the target recovers.
 //   - Per-query governance. Every evaluation runs under the session's
 //     MaxSteps/Timeout limits composed with the caller's context: canceling
 //     the context cancels the evaluator at its next step check AND
@@ -33,18 +28,18 @@
 //     a worker acquires a session or the target lock, and one that makes it
 //     out evaluates under a context carrying the deadline, so expiry
 //     mid-eval cancels the evaluator AND interrupts the memory chain.
-//   - Retry budgets. Transient infrastructure failures — a memio retry
-//     schedule spent to exhaustion, a breaker half-open rejection — are
-//     retried once at the serve layer under a per-target token-bucket
-//     budget (retry.go): isolated faults heal invisibly, correlated storms
-//     drain the bucket and degrade to single attempts instead of doubling
-//     the load on a sick target.
+//   - Retry budgets. A query whose memio retry schedule was spent to
+//     exhaustion is retried once at the serve layer under a per-target
+//     token-bucket budget (retry.go): isolated faults heal invisibly,
+//     correlated storms drain the bucket and degrade to single attempts
+//     instead of doubling the load on a sick target.
 //   - Target health: brownout before quarantine. A per-target score fed by
-//     infra-failure and latency signals generalizes the breaker
-//     (health.go): a degraded target first browns out — mutating queries
+//     infra-failure and latency signals (health.go) is the one fail-fast
+//     state machine: a degraded target first browns out — mutating queries
 //     shed with ErrBrownout while read-only ones keep flowing under the
 //     shared read lock — and only a truly sick one quarantines, failing
-//     fast with ErrQuarantined until a periodic probe completes cleanly.
+//     fast with ErrQuarantined, without touching the target, until a
+//     periodic probe completes cleanly.
 //
 // Sessions are pooled per target: a duel.Session evaluates one expression
 // at a time (its name-resolution stack and step budget are per-evaluation
@@ -66,7 +61,7 @@
 //   - Counters are atomic (no stats mutex on the hot path).
 //   - Each worker keeps session affinity with the last target it served, so
 //     a steady stream against one target never touches the pool mutex.
-//   - The breaker's closed-state admit/record path is atomic.
+//   - A healthy target's health admit/observe path is atomic.
 //   - Jobs (and their one-shot done channels) are recycled through a
 //     sync.Pool, so the submit→worker→submit round-trip is two direct
 //     channel handoffs with no per-query allocation of its own.
@@ -96,9 +91,6 @@ var (
 	ErrOverloaded = errors.New("serve: overloaded, query shed")
 	// ErrDraining: the server is shutting down and admits nothing new.
 	ErrDraining = errors.New("serve: draining, query refused")
-	// ErrCircuitOpen: the target's circuit breaker is open; the query
-	// failed fast without touching the target.
-	ErrCircuitOpen = errors.New("serve: circuit open, failing fast")
 	// ErrUnknownTarget: no target registered under that name.
 	ErrUnknownTarget = errors.New("serve: unknown target")
 	// ErrDeadlineExceeded: the query's deadline lapsed while it sat in the
@@ -139,8 +131,6 @@ type Config struct {
 	// like duel.NewSession); zero MaxSteps/Timeout get the serving
 	// defaults either way, so serve sessions are always bounded.
 	Session duel.Options
-	// Breaker tunes the per-target circuit breakers.
-	Breaker BreakerConfig
 	// Retry tunes the serve-layer retry budget (see retry.go). The zero
 	// value enables retries with the defaults; set Retry.Disabled to opt
 	// out.
@@ -150,13 +140,13 @@ type Config struct {
 	// set Health.Disabled to opt out.
 	Health HealthConfig
 
-	// now overrides the serving clock (breaker cooldowns, queue-deadline
-	// checks, health probe cadence) in tests.
+	// now overrides the serving clock (queue-deadline checks, health probe
+	// cadence) in tests.
 	now func() time.Time
 }
 
 // Stats is a snapshot of a Server's admission and outcome counters.
-// Breaker counters aggregate over all registered targets. Snapshots are
+// Health counters aggregate over all registered targets. Snapshots are
 // internally consistent: Completed never exceeds Admitted.
 type Stats struct {
 	Admitted  int64 // queries accepted into the queue
@@ -164,8 +154,6 @@ type Stats struct {
 	Failed    int64 // completed queries whose evaluation returned an error
 	Shed      int64 // refused with ErrOverloaded
 	Drained   int64 // refused with ErrDraining, or canceled while queued
-	FastFails int64 // refused with ErrCircuitOpen
-	Trips     int64 // breaker trips
 
 	DeadlineExpired int64 // shed in queue with ErrDeadlineExceeded
 	Retried         int64 // serve-layer retry attempts issued under the budget
@@ -243,12 +231,11 @@ type Server struct {
 	stats liveStats
 }
 
-// targetState is one registered target: its session pool, breaker, and the
+// targetState is one registered target: its session pool, health, and the
 // read/write lock that keeps mutating queries exclusive.
 type targetState struct {
 	name    string
 	factory func() (*duel.Session, error)
-	brk     *breaker
 	health  *health
 	retry   *retryBudget
 
@@ -288,17 +275,16 @@ type affinity struct {
 // read by the submitter after the done receive — the channel's
 // happens-before edge is their synchronization.
 type job struct {
-	ctx         context.Context
-	t           *targetState
-	src         string
-	emit        func(duel.Result) error
-	deadline    time.Time // zero = none; checked again at pickup
-	probe       bool      // this attempt is its target's half-open breaker probe
-	healthProbe bool      // this attempt is its target's quarantine probe
-	counted     bool      // this attempt carries the query's Admitted count
-	ran         bool      // worker → submitter: the evaluation actually ran
-	mutated     bool      // worker → submitter: classified as mutating
-	done        chan error
+	ctx      context.Context
+	t        *targetState
+	src      string
+	emit     func(duel.Result) error
+	deadline time.Time // zero = none; checked again at pickup
+	probe    bool      // this attempt is its target's quarantine probe
+	counted  bool      // this attempt carries the query's Admitted count
+	ran      bool      // worker → submitter: the evaluation actually ran
+	mutated  bool      // worker → submitter: classified as mutating
+	done     chan error
 
 	// node is src's AST when the query was prepared on this target's
 	// classification session; nil means the worker parses src.
@@ -318,7 +304,7 @@ var jobPool = sync.Pool{New: func() any { return &job{done: make(chan error, 1)}
 func putJob(j *job) {
 	j.ctx, j.t, j.src, j.emit, j.node = nil, nil, "", nil, nil
 	j.deadline = time.Time{}
-	j.probe, j.healthProbe, j.counted, j.ran, j.mutated = false, false, false, false, false
+	j.probe, j.counted, j.ran, j.mutated = false, false, false, false
 	j.enqueuedAt = time.Time{}
 	j.queueWait, j.evalDur = 0, 0
 	jobPool.Put(j)
@@ -379,7 +365,6 @@ func (s *Server) RegisterFactory(name string, factory func() (*duel.Session, err
 	t := &targetState{
 		name:    name,
 		factory: factory,
-		brk:     newBreaker(s.cfg.Breaker, s.cfg.now),
 		health:  newHealth(s.cfg.Health, s.cfg.now),
 		retry:   newRetryBudget(s.cfg.Retry),
 		rw:      newShardedRW(s.cfg.Workers),
@@ -398,16 +383,6 @@ func (s *Server) lookup(name string) (*targetState, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, name)
 	}
 	return t, nil
-}
-
-// BreakerState reports the named target's breaker state.
-func (s *Server) BreakerState(name string) (BreakerState, error) {
-	t, err := s.lookup(name)
-	if err != nil {
-		return BreakerClosed, err
-	}
-	st, _, _ := t.brk.snapshot()
-	return st, nil
 }
 
 // TargetHealth reports the named target's health state.
@@ -578,9 +553,6 @@ func (s *Server) Stats() Stats {
 	st.EvalNanos = s.stats.evalNanos.Load()
 	s.targetMu.RLock()
 	for _, t := range s.targets {
-		_, trips, fastFails := t.brk.snapshot()
-		st.Trips += trips
-		st.FastFails += fastFails
 		_, quarantines, qFails, brownouts, bSheds := t.health.snapshot()
 		st.Quarantined += quarantines
 		st.QuarantineFails += qFails
@@ -707,18 +679,18 @@ func (s *Server) submit(ctx context.Context, t *targetState, q Query, opt Submit
 	out := s.runOnce(ctx, t, q, countEmit, deadline, true)
 
 	// Serve-layer retry: one extra attempt, spent from the target's token
-	// bucket, for failures that are the infrastructure's fault and that a
-	// fresh attempt can fix — a breaker rejection that never ran, or a
-	// memio retry schedule spent to exhaustion on an attempt that ran but
-	// delivered nothing. Mutating queries never retry (the failed attempt
-	// may have half-applied its writes).
-	if s.retryableOutcome(out, emitted) && t.retry.take() {
+	// bucket, for the one failure that is the infrastructure's fault and
+	// that a fresh attempt can fix — a memio retry schedule spent to
+	// exhaustion on an attempt that ran but delivered nothing. Refusals
+	// (quarantine, brownout, overload, drain) never ran, so they never
+	// carry that fault and are not retried. Mutating queries never retry
+	// (the failed attempt may have half-applied its writes).
+	if !out.mutated && emitted == 0 && memio.IsRetryExhausted(out.err) && t.retry.take() {
 		if (deadline.IsZero() || s.cfg.now().Before(deadline)) && sleepCtx(ctx, t.retry.backoff) {
 			s.stats.retried.Add(1)
-			second := s.runOnce(ctx, t, q, countEmit, deadline, false)
 			// The retry's outcome stands unless it was refused without
-			// running while the original at least ran.
-			if second.ran || !out.ran {
+			// running: the original at least ran.
+			if second := s.runOnce(ctx, t, q, countEmit, deadline, false); second.ran {
 				out = second
 			}
 		}
@@ -736,17 +708,6 @@ func (s *Server) submit(ctx context.Context, t *targetState, q Query, opt Submit
 		}
 	}
 	return out.err
-}
-
-// retryableOutcome classifies an attempt outcome for the serve-layer retry.
-func (s *Server) retryableOutcome(out queryOutcome, emitted int) bool {
-	if out.err == nil || out.mutated || emitted > 0 {
-		return false
-	}
-	if !out.ran {
-		return errors.Is(out.err, ErrCircuitOpen)
-	}
-	return memio.IsRetryExhausted(out.err)
 }
 
 // runOnce drives a single attempt through the queue and blocks for its
@@ -777,22 +738,14 @@ func (s *Server) enqueue(ctx context.Context, t *targetState, q Query, emit func
 		}
 		return nil, ErrDraining
 	}
-	healthProbe, err := t.health.admit()
+	probe, err := t.health.admit()
 	if err != nil {
 		s.admitMu.RUnlock()
-		return nil, fmt.Errorf("target %q: %w", t.name, err)
-	}
-	probe, err := t.brk.admit()
-	if err != nil {
-		s.admitMu.RUnlock()
-		if healthProbe {
-			t.health.cancelProbe()
-		}
 		return nil, fmt.Errorf("target %q: %w", t.name, err)
 	}
 	j := jobPool.Get().(*job)
 	j.ctx, j.t, j.src, j.node, j.emit = ctx, t, q.Src, q.node, emit
-	j.deadline, j.probe, j.healthProbe, j.counted = deadline, probe, healthProbe, counted
+	j.deadline, j.probe, j.counted = deadline, probe, counted
 	j.enqueuedAt = s.cfg.now()
 	// Count the admission before the enqueue: once the job is in the
 	// queue a worker can complete it at any moment, and a Stats snapshot
@@ -811,18 +764,15 @@ func (s *Server) enqueue(ctx context.Context, t *targetState, q Query, emit func
 			s.stats.admitted.Add(-1)
 			s.stats.shed.Add(1)
 		}
-		s.releaseProbes(j)
+		s.releaseProbe(j)
 		putJob(j)
 		return nil, ErrOverloaded
 	}
 }
 
-// releaseProbes returns any probe slots an attempt held without running.
-func (s *Server) releaseProbes(j *job) {
+// releaseProbe returns the probe slot an attempt held without running.
+func (s *Server) releaseProbe(j *job) {
 	if j.probe {
-		j.t.brk.cancelProbe()
-	}
-	if j.healthProbe {
 		j.t.health.cancelProbe()
 	}
 }
@@ -888,7 +838,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 		// here, before acquiring a session or the target lock — the whole
 		// point of carrying the deadline through the queue is that an
 		// already-dead query costs the target nothing.
-		s.releaseProbes(j)
+		s.releaseProbe(j)
 		if j.counted {
 			s.stats.deadlineExpired.Add(1)
 		}
@@ -896,7 +846,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 	}
 	if err := context.Cause(j.ctx); err != nil {
 		// The caller gave up while the query was queued.
-		s.releaseProbes(j)
+		s.releaseProbe(j)
 		if j.counted {
 			if errors.Is(err, context.DeadlineExceeded) {
 				s.stats.deadlineExpired.Add(1)
@@ -908,7 +858,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 	}
 	if s.hardCtx.Err() != nil {
 		// The drain deadline passed while the query was queued.
-		s.releaseProbes(j)
+		s.releaseProbe(j)
 		if j.counted {
 			s.stats.drained.Add(1)
 		}
@@ -917,7 +867,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 
 	ses, err := s.acquire(j, aff)
 	if err != nil {
-		s.releaseProbes(j)
+		s.releaseProbe(j)
 		j.ran = true // the query spent its admission; the submitter counts it
 		return err
 	}
@@ -926,9 +876,9 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 		var perr error
 		if n, perr = ses.Parse(j.src); perr != nil {
 			// A parse error never reached the target; it says nothing
-			// about target health, so neither the breaker nor the health
-			// score hears about it.
-			s.releaseProbes(j)
+			// about target health, so the health score never hears
+			// about it.
+			s.releaseProbe(j)
 			retain(j, aff, ses)
 			j.ran = true
 			return perr
@@ -941,7 +891,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 		// Brownout: the degraded target keeps serving reads under the
 		// shared lock, but writes — which take the exclusive lock and
 		// amplify its sickness into pool-wide stalls — are shed.
-		s.releaseProbes(j)
+		s.releaseProbe(j)
 		retain(j, aff, ses)
 		j.t.health.brownoutSheds.Add(1)
 		return fmt.Errorf("target %q: %w", j.t.name, ErrBrownout)
@@ -976,19 +926,15 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 	stop()
 	cancel()
 
-	infra := infraFailure(err)
-	j.t.brk.record(j.probe, infra)
 	var ce *core.CanceledError
 	if errors.As(err, &ce) {
 		// A canceled attempt (the caller gave up) says nothing about
 		// target health, and its latency is the canceler's choice, not the
 		// target's.
-		if j.healthProbe {
-			j.t.health.cancelProbe()
-		}
+		s.releaseProbe(j)
 	} else {
 		slow := s.cfg.Health.SlowLatency > 0 && elapsed > s.cfg.Health.SlowLatency
-		j.t.health.observe(j.healthProbe, infra, slow)
+		j.t.health.observe(j.probe, infraFailure(err), slow)
 	}
 	if Pollutes(n) {
 		// The query grew session-local state (aliases, DUEL declarations,
@@ -1154,7 +1100,7 @@ func Pollutes(n *ast.Node) bool {
 	return false
 }
 
-// infraFailure classifies an evaluation error for the circuit breaker: true
+// infraFailure classifies an evaluation error for target health: true
 // for failures that indicate a sick target — transient faults the retry
 // budget could not absorb, wedged or failed operations, evaluation
 // timeouts — and false for everything that is the query's (or caller's) own

@@ -329,7 +329,8 @@ func TestOverloadSheds(t *testing.T) {
 	})
 }
 
-// fakeClock is the injectable breaker clock.
+// fakeClock is the injectable serving clock (queue deadlines, health probe
+// cadence).
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -347,11 +348,13 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// TestBreakerTripsFailsFastRecovers pins the breaker lifecycle against an
-// injected sick target and a pinned clock: three straight transient-fault
-// queries trip it; while open, queries fail fast without touching the
-// target; after the cooldown one probe closes it again.
-func TestBreakerTripsFailsFastRecovers(t *testing.T) {
+// TestHealthHardDownLifecycle pins how the default health settings handle a
+// target that fails every read, on a pinned clock: each failed query moves
+// the score 1/8 of the way to 0, so the 6th infra failure browns the target
+// out (score 0.449) and the 11th quarantines it (0.230). Quarantined, a query
+// fails fast without touching the target; one probe per ProbeInterval gets
+// through, and a clean one restores service.
+func TestHealthHardDownLifecycle(t *testing.T) {
 	checkNoLeak(t, func() {
 		f := buildDebuggee(t)
 		inj := faultdbg.New(f, faultdbg.Plan{
@@ -360,10 +363,9 @@ func TestBreakerTripsFailsFastRecovers(t *testing.T) {
 		clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 		srv := New(Config{
 			Workers: 1,
-			Breaker: BreakerConfig{Threshold: 3, Cooldown: time.Second},
-			// Serve-layer retries off: this test pins the exact
-			// failure count at which the breaker trips, and a retried
-			// attempt would feed the breaker twice per query.
+			// Serve-layer retries off: this test pins the exact failure
+			// counts, and a retried attempt would feed health twice per
+			// query.
 			Retry: RetryConfig{Disabled: true},
 			now:   clk.now,
 		})
@@ -372,95 +374,103 @@ func TestBreakerTripsFailsFastRecovers(t *testing.T) {
 		})
 		ctx := context.Background()
 
-		for i := 0; i < 3; i++ {
-			if _, err := srv.Eval(ctx, "t", "x[0]"); err == nil {
-				t.Fatalf("query %d against the sick target unexpectedly succeeded", i)
+		for i := 1; i <= 11; i++ {
+			if _, err := srv.Eval(ctx, "t", "x[0]"); err == nil || errors.Is(err, ErrQuarantined) {
+				t.Fatalf("query %d against the sick target: got %v, want an evaluated failure", i, err)
 			}
-			want := BreakerClosed
-			if i == 2 {
-				want = BreakerOpen
+			want := TargetHealthy
+			switch {
+			case i >= 11:
+				want = TargetQuarantined
+			case i >= 6:
+				want = TargetBrownout
 			}
-			if st, _ := srv.BreakerState("t"); st != want {
-				t.Fatalf("after failure %d: breaker %v, want %v", i+1, st, want)
+			if st, score, _ := srv.TargetHealthScore("t"); st != want {
+				t.Fatalf("after failure %d: %v (score %.3f), want %v", i, st, score, want)
 			}
 		}
 
-		// Open: fail fast, and prove the target was not touched.
+		// Quarantined: fail fast, and prove the target was not touched.
 		opsBefore := inj.Stats().Ops
-		if _, err := srv.Eval(ctx, "t", "x[0]"); !errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("open-breaker submit: got %v, want ErrCircuitOpen", err)
+		if _, err := srv.Eval(ctx, "t", "x[0]"); !errors.Is(err, ErrQuarantined) {
+			t.Fatalf("quarantined submit: got %v, want ErrQuarantined", err)
 		}
 		if ops := inj.Stats().Ops; ops != opsBefore {
 			t.Errorf("fast-fail touched the target: %d ops -> %d", opsBefore, ops)
 		}
 
-		// Cooldown elapses, target recovers: the next query is the probe,
-		// its success closes the breaker, and traffic flows again.
-		clk.advance(2 * time.Second)
+		// The probe interval elapses and the target recovers: the next
+		// query is the probe, its success restores health, and traffic
+		// (writes included) flows again.
+		clk.advance(DefaultProbeInterval)
 		inj.Disarm()
 		if _, err := srv.Eval(ctx, "t", "x[0]"); err != nil {
 			t.Fatalf("probe after recovery failed: %v", err)
 		}
-		if st, _ := srv.BreakerState("t"); st != BreakerClosed {
-			t.Fatalf("after successful probe: breaker %v, want closed", st)
+		if st, _ := srv.TargetHealth("t"); st != TargetHealthy {
+			t.Fatalf("after successful probe: %v, want healthy", st)
 		}
-		if _, err := srv.Eval(ctx, "t", "x[0]"); err != nil {
-			t.Fatalf("post-recovery query failed: %v", err)
+		if _, err := srv.Eval(ctx, "t", "x[0] = 3"); err != nil {
+			t.Fatalf("post-recovery write failed: %v", err)
 		}
 
 		if err := srv.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		st := srv.Stats()
-		if st.Trips != 1 {
-			t.Errorf("Trips = %d, want 1", st.Trips)
-		}
-		if st.FastFails != 1 {
-			t.Errorf("FastFails = %d, want 1", st.FastFails)
+		if st.Brownouts != 1 || st.Quarantined != 1 || st.QuarantineFails != 1 {
+			t.Errorf("Brownouts, Quarantined, QuarantineFails = %d, %d, %d; want 1, 1, 1",
+				st.Brownouts, st.Quarantined, st.QuarantineFails)
 		}
 	})
 }
 
-// TestBreakerReopensOnFailedProbe: a probe that fails must re-open the
-// breaker for another full cooldown.
-func TestBreakerReopensOnFailedProbe(t *testing.T) {
+// TestHealthFailedProbeRearms: a probe that fails keeps the target
+// quarantined, everything that arrives while a probe is in flight fails
+// fast, and the next probe waits a full ProbeInterval from the failed
+// probe's completion, however long the probe itself took.
+func TestHealthFailedProbeRearms(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-	b := newBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Second}, clk.now)
-	b.record(false, true)
-	b.record(false, true)
-	if st, _, _ := b.snapshot(); st != BreakerOpen {
-		t.Fatalf("state after threshold = %v, want open", st)
+	h := newHealth(HealthConfig{}, clk.now)
+	for i := 0; i < 11; i++ {
+		h.observe(false, true, false)
 	}
-	if _, err := b.admit(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("admit while open: %v", err)
+	if st, _, _, _, _ := h.snapshot(); st != TargetQuarantined {
+		t.Fatalf("state after 11 infra failures = %v, want quarantined", st)
 	}
-	clk.advance(1500 * time.Millisecond)
-	probe, err := b.admit()
+	if _, err := h.admit(); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("admit inside the first interval: %v, want ErrQuarantined", err)
+	}
+	clk.advance(DefaultProbeInterval)
+	probe, err := h.admit()
 	if err != nil || !probe {
-		t.Fatalf("post-cooldown admit: probe=%v err=%v, want probe", probe, err)
+		t.Fatalf("admit after the interval: probe=%v err=%v, want a probe", probe, err)
 	}
-	// While the probe is out, others still fail fast.
-	if _, err := b.admit(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("admit during probe: %v", err)
+	// While the probe is out, everything else fails fast, however much
+	// time passes.
+	clk.advance(2 * DefaultProbeInterval)
+	if _, err := h.admit(); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("admit during the probe: %v, want ErrQuarantined", err)
 	}
-	b.record(true, true) // the probe fails
-	if st, _, _ := b.snapshot(); st != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", st)
+	h.observe(true, true, false) // the probe fails
+	if st, _, _, _, _ := h.snapshot(); st != TargetQuarantined {
+		t.Fatalf("state after a failed probe = %v, want quarantined", st)
 	}
-	if _, err := b.admit(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("admit inside second cooldown: %v", err)
+	clk.advance(DefaultProbeInterval - time.Millisecond)
+	if _, err := h.admit(); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("admit inside the re-armed interval: %v, want ErrQuarantined", err)
 	}
-	clk.advance(2 * time.Second)
-	probe, err = b.admit()
+	clk.advance(time.Millisecond)
+	probe, err = h.admit()
 	if err != nil || !probe {
-		t.Fatalf("second probe admit: probe=%v err=%v", probe, err)
+		t.Fatalf("second probe admit: probe=%v err=%v, want a probe", probe, err)
 	}
-	b.record(true, false)
-	if st, _, _ := b.snapshot(); st != BreakerClosed {
-		t.Fatalf("state after successful probe = %v, want closed", st)
+	h.observe(true, false, false)
+	if st, _, _, _, _ := h.snapshot(); st != TargetHealthy || h.score() != 1 {
+		t.Fatalf("after a clean probe: %v, score %v; want healthy, 1", st, h.score())
 	}
-	if _, trips, _ := b.snapshot(); trips != 2 {
-		t.Errorf("trips = %d, want 2", trips)
+	if _, quarantines, fastFails, _, _ := h.snapshot(); quarantines != 1 || fastFails != 3 {
+		t.Errorf("quarantines, fast fails = %d, %d; want 1, 3", quarantines, fastFails)
 	}
 }
 
@@ -726,11 +736,12 @@ func TestUnknownTarget(t *testing.T) {
 	}
 }
 
-// TestParseErrorDoesNotTripBreaker: malformed queries are the caller's
-// fault; a stream of them must not open the target's breaker.
-func TestParseErrorDoesNotTripBreaker(t *testing.T) {
+// TestHealthIgnoresParseErrors: malformed queries are the caller's fault
+// and never reach the target, so a stream of them leaves its health score
+// untouched.
+func TestHealthIgnoresParseErrors(t *testing.T) {
 	f := buildDebuggee(t)
-	srv := New(Config{Workers: 1, Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Second}})
+	srv := New(Config{Workers: 1})
 	srv.Register("t", f)
 	ctx := context.Background()
 	for i := 0; i < 6; i++ {
@@ -738,8 +749,8 @@ func TestParseErrorDoesNotTripBreaker(t *testing.T) {
 			t.Fatal("malformed query unexpectedly parsed")
 		}
 	}
-	if st, _ := srv.BreakerState("t"); st != BreakerClosed {
-		t.Fatalf("breaker = %v after parse errors, want closed", st)
+	if st, score, _ := srv.TargetHealthScore("t"); st != TargetHealthy || score != 1 {
+		t.Fatalf("after parse errors: %v, score %v; want healthy, 1", st, score)
 	}
 	if _, err := srv.Eval(ctx, "t", "x[0]"); err != nil {
 		t.Fatalf("well-formed query failed: %v", err)

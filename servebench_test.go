@@ -18,7 +18,7 @@ package duel_test
 //
 // (the CI bench job produces and uploads both profiles as artifacts).
 // That profile is what motivated the serve layer's atomic stats, worker
-// session affinity, epoch-based cache flush and lock-free breaker fast
+// session affinity, per-evaluation page caches and lock-free health fast
 // path; TestServeReadScaling below keeps the result honest.
 
 import (
